@@ -281,7 +281,9 @@ func BenchmarkB5Grounding(b *testing.B) {
 	}
 }
 
-// BenchmarkB6Network measures networked PCA per transport/latency.
+// BenchmarkB6Network measures networked PCA per transport/latency:
+// each neighbour costs 2 round trips (spec export, then one batch
+// fetch).
 func BenchmarkB6Network(b *testing.B) {
 	for _, cfg := range []struct {
 		name    string
@@ -320,8 +322,9 @@ func BenchmarkB6Network(b *testing.B) {
 }
 
 // BenchmarkB6NetworkParallel is the parallel variant of B6: networked
-// PCA at 1ms link latency with sequential fan-out, 4-way concurrent
-// fan-out, and a warm TTL snapshot cache. The fan-out win is
+// PCA at 1ms link latency with sequential fan-out (2 round trips per
+// neighbour), 4-way concurrent fan-out (2 round trips in all), and warm
+// TTL spec and relation caches (none). The fan-out win is
 // latency-bound, so it shows even on a single core.
 func BenchmarkB6NetworkParallel(b *testing.B) {
 	for _, cfg := range []struct {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -26,6 +27,16 @@ type serveParams struct {
 	transitive    bool
 	stats         bool
 }
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a stalled client cannot pin a connection.
+const readHeaderTimeout = 10 * time.Second
+
+// shutdownGrace bounds the graceful HTTP shutdown that follows the
+// admission pool's drain. http.Server.Shutdown counts a connection that
+// has not sent a request yet as active for up to 5s, so whatever is
+// still open when the grace ends is cut with Close.
+const shutdownGrace = 250 * time.Millisecond
 
 // serveStop, when non-nil, stops a -serve run when closed; tests set it
 // to drive startup/shutdown. The CLI leaves it nil and waits for
@@ -73,7 +84,7 @@ func runServe(sys *core.System, id core.PeerID, out io.Writer, p serveParams) er
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -99,10 +110,15 @@ func runServe(sys *core.System, id core.PeerID, out io.Writer, p serveParams) er
 	if !srv.Stop() {
 		fmt.Fprintln(out, "p2pqa: drain timeout, queries still running")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
-		return err
+		if !errors.Is(err, context.DeadlineExceeded) {
+			return err
+		}
+		if err := httpSrv.Close(); err != nil {
+			return err
+		}
 	}
 	if p.stats {
 		srv.WriteMetrics(out)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -31,6 +32,67 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
+// servingAddr waits for a -serve run to print its bound address.
+func servingAddr(t *testing.T, out *syncBuffer) string {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatalf("server never started:\n%s", out.String())
+		}
+		s := out.String()
+		if i := strings.Index(s, "at http://"); i >= 0 {
+			rest := s[i+len("at http://"):]
+			if j := strings.Index(rest, " ("); j >= 0 {
+				return rest[:j]
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServeShutdownSilentClient: a client that connects to the HTTP
+// listener and never sends a request must not hold up shutdown — run
+// returns nil well inside a second of the stop signal.
+func TestServeShutdownSilentClient(t *testing.T) {
+	path := writeSpec(t)
+	serveStop = make(chan struct{})
+	defer func() { serveStop = nil }()
+
+	var out syncBuffer
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- run([]string{"-system", path, "-peer", "P1", "-serve", "-http", "127.0.0.1:0"}, &out)
+	}()
+	addr := servingAddr(t, &out)
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The server accepts in arrival order: once a later request has been
+	// answered, the silent connection is accepted and tracked too.
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	start := time.Now()
+	close(serveStop)
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("run returned %v\noutput:\n%s", err, out.String())
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("shutdown took %v with a silent client, want < 1s", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server did not stop")
+	}
+}
+
 // TestServeSmoke drives the full -serve lifecycle: start the server,
 // fire concurrent HTTP queries interleaved with writes, read the
 // metrics endpoint, then shut down cleanly via the test stop hook.
@@ -49,22 +111,7 @@ func TestServeSmoke(t *testing.T) {
 		}, &out)
 	}()
 
-	// Wait for the server to print its bound address.
-	var base string
-	deadline := time.Now().Add(10 * time.Second)
-	for base == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("server never started:\n%s", out.String())
-		}
-		s := out.String()
-		if i := strings.Index(s, "at http://"); i >= 0 {
-			rest := s[i+len("at http://"):]
-			if j := strings.Index(rest, " ("); j >= 0 {
-				base = "http://" + rest[:j]
-			}
-		}
-		time.Sleep(time.Millisecond)
-	}
+	base := "http://" + servingAddr(t, &out)
 
 	// Concurrent queries interleaved with writes.
 	var wg sync.WaitGroup

@@ -43,7 +43,7 @@
 //     LP route (grounder included);
 //   - peernet.Node.Parallelism fetches neighbour specifications
 //     concurrently per BFS level, and peernet.Node.CacheTTL caches
-//     assembled snapshots and fetched relations for a TTL window
+//     fetched peer specifications and relations for a TTL window
 //     (SetNeighbor invalidates). Node is safe for concurrent use.
 //
 // All three CLIs surface the knob as -parallelism.
@@ -167,6 +167,19 @@
 // sliced (1 of 25 remote relations moved), with repeats served from
 // the answer cache in ~100µs.
 //
+// The unsliced peernet.Node.Snapshot is the Full-data case of the same
+// pipeline: the same specification walk, then every relation of every
+// remote peer through the same fetch helper and TTL caches. The peer
+// wire protocol therefore has exactly three operations:
+//
+//   - OpExportSpec: a peer's specification (no facts) and its
+//     neighbour addresses;
+//   - OpFetchBatch: whole relations, several per round-trip;
+//   - OpPCA: a peer's own peer consistent answers to an atomic
+//     sub-query (delegation, below).
+//
+// Any other op is answered with an "unknown op" error.
+//
 // # Delegated distributed execution
 //
 // Centralized answering pulls every relevant peer's data to the
@@ -176,10 +189,9 @@
 // target of the root's DECs as a delegate (the target enforces DECs of
 // its own, so it must repair before answering), a fetch (data read
 // raw) or a stub (schema only). Delegates receive one atomic sub-query
-// per shared relation over the existing OpPCA wire op with
-// Request.Sliced and Request.Delegate set, answer it transitively from
-// their own data through their own slice.AnswerCache, and ship answer
-// sets — not relations — back. The querying node rebuilds a mini
+// per shared relation over the OpPCA wire op with Request.Delegate
+// set, answer it transitively from their own data through their own
+// slice.AnswerCache, and ship answer sets — not relations — back. The querying node rebuilds a mini
 // system in which each delegate's answered relations appear as plain
 // facts (its DECs consumed, trust edges dropped), and runs the
 // ordinary sliced transitive pipeline over it, so composition is the
@@ -322,8 +334,9 @@
 //     counters, repair-search component statistics.
 //
 // Write visibility is the serving plane's freshness guarantee: local
-// writes go through Server.Write -> Node.UpdateLocal, which invalidates
-// the node's own TTL snapshot cache, so a write is visible to the very
+// writes go through Server.Write -> Node.UpdateLocal, and every
+// snapshot clones the served peer afresh (only remote specifications
+// and relations are TTL-cached), so a write is visible to the very
 // next query — no staleness window on the served peer's own data.
 // (Remote peers' data is still read through the TTL caches; that
 // freshness bound is the documented CacheTTL semantics, not a

@@ -46,7 +46,7 @@ func TestFetchRelationsSingleRoundTrip(t *testing.T) {
 	if calls := tr.calls.Load(); calls != 1 {
 		t.Fatalf("batched fetch of %d relations used %d round-trips, want 1", len(rels), calls)
 	}
-	// Three sequential OpFetch calls would sleep >= 3*latency; the
+	// Three per-relation round trips would sleep >= 3*latency; the
 	// batch pays the latency once. Allow one extra latency of slack for
 	// scheduling noise.
 	if elapsed >= 2*latency {
@@ -58,7 +58,7 @@ func TestFetchRelationsSingleRoundTrip(t *testing.T) {
 }
 
 // TestFetchRelationsMatchesIndividual asserts the batch returns exactly
-// what per-relation OpFetch round-trips return.
+// what per-relation FetchRelation calls return.
 func TestFetchRelationsMatchesIndividual(t *testing.T) {
 	sys := multiRelSystem(t)
 	nodes := startNetwork(t, sys, NewInProc())

@@ -12,9 +12,9 @@ import (
 	"repro/internal/foquery"
 )
 
-// TestConcurrentRequests hammers a node with parallel fetches, queries
-// and PCA requests over both transports; results must stay correct and
-// the race detector clean.
+// TestConcurrentRequests hammers a node with parallel fetches, raw
+// batch fetches and PCA requests over both transports; results must
+// stay correct and the race detector clean.
 func TestConcurrentRequests(t *testing.T) {
 	for name, tr := range map[string]Transport{
 		"inproc": NewInProc(),
@@ -38,13 +38,13 @@ func TestConcurrentRequests(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					resp, err := tr.Call(nodes["P3"].Addr, Request{
-						Op: OpQuery, Query: "r3(X,Y)", Vars: []string{"X", "Y"},
+						Op: OpFetchBatch, Rels: []string{"r3"},
 					})
 					if err == nil && resp.Err != "" {
 						err = fmt.Errorf("%s", resp.Err)
 					}
-					if err == nil && len(resp.Tuples) != 2 {
-						err = fmt.Errorf("query got %d tuples", len(resp.Tuples))
+					if err == nil && len(resp.RelTuples["r3"]) != 2 {
+						err = fmt.Errorf("batch fetch got %d tuples", len(resp.RelTuples["r3"]))
 					}
 					errs <- err
 				}()
@@ -70,10 +70,10 @@ func TestConcurrentRequests(t *testing.T) {
 }
 
 // TestSetNeighborVsHandleRace mutates the neighbour table while other
-// goroutines exercise every reader of it — the OpExport handler, the
-// snapshot fan-out and FetchRelation. The seed raced here (an unlocked
-// map write against handler reads); this test pins the fix under
-// -race.
+// goroutines exercise every reader of it — the OpExportSpec handler,
+// the snapshot fan-out and FetchRelation. The seed raced here (an
+// unlocked map write against handler reads); this test pins the fix
+// under -race.
 func TestSetNeighborVsHandleRace(t *testing.T) {
 	sys := core.Example1System()
 	tr := NewInProc()
@@ -100,7 +100,7 @@ func TestSetNeighborVsHandleRace(t *testing.T) {
 		wg2.Add(3)
 		go func() {
 			defer wg2.Done()
-			resp, err := tr.Call(p1.Addr, Request{Op: OpExport})
+			resp, err := tr.Call(p1.Addr, Request{Op: OpExportSpec})
 			if err != nil {
 				t.Error(err)
 			} else if resp.Err != "" {
@@ -137,8 +137,10 @@ func (c *countingTransport) Call(addr string, req Request) (Response, error) {
 	return c.Transport.Call(addr, req)
 }
 
-// TestSnapshotCacheTTL checks the snapshot cache end to end: hits
-// inside the TTL window cost zero network calls, expiry refetches, and
+// TestSnapshotCacheTTL checks the TTL caches under Snapshot end to
+// end: a cold snapshot costs exactly two round trips per remote peer
+// with relations (OpExportSpec, then OpFetchBatch), hits inside the
+// TTL window cost zero network calls, expiry refetches, and
 // SetNeighbor invalidates.
 func TestSnapshotCacheTTL(t *testing.T) {
 	sys := core.Example1System()
@@ -157,9 +159,13 @@ func TestSnapshotCacheTTL(t *testing.T) {
 	if len(want) != 3 {
 		t.Fatalf("pca = %v", want)
 	}
+	// P2 and P3 each own one relation: 2 specs + 2 batches.
 	after := tr.calls.Load()
-	if after == 0 {
-		t.Fatal("first query should hit the network")
+	if after != 4 {
+		t.Fatalf("cold snapshot made %d network calls, want 4", after)
+	}
+	if sh, sm, rh, rm := p1.CacheStats(); sh != 0 || sm != 2 || rh != 0 || rm != 2 {
+		t.Fatalf("cold CacheStats = %d/%d spec, %d/%d rel; want 0/2, 0/2", sh, sm, rh, rm)
 	}
 	// Within TTL: answers identical, zero extra calls.
 	got, err := p1.PeerConsistentAnswers(q, []string{"X", "Y"}, false)
@@ -171,6 +177,9 @@ func TestSnapshotCacheTTL(t *testing.T) {
 	}
 	if c := tr.calls.Load(); c != after {
 		t.Fatalf("cached query made %d network calls", c-after)
+	}
+	if sh, sm, rh, rm := p1.CacheStats(); sh != 2 || sm != 2 || rh != 2 || rm != 2 {
+		t.Fatalf("warm CacheStats = %d/%d spec, %d/%d rel; want 2/2, 2/2", sh, sm, rh, rm)
 	}
 	// Past TTL: refetch.
 	now = now.Add(2 * time.Minute)
@@ -187,7 +196,7 @@ func TestSnapshotCacheTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c := tr.calls.Load(); c == after {
-		t.Fatal("SetNeighbor should invalidate the snapshot cache")
+		t.Fatal("SetNeighbor should invalidate the changed peer's cache entries")
 	}
 }
 

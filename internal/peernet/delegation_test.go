@@ -410,9 +410,9 @@ func TestStartStopConcurrent(t *testing.T) {
 }
 
 // TestEmptyRelationRoundTrip pins the nil-vs-empty wire contract: a
-// declared-but-empty relation round-trips consistently through OpFetch
-// and OpFetchBatch over both transports, and the client decodes it to
-// an empty non-nil tuple list even where gob drops zero-length slices.
+// declared-but-empty relation round-trips consistently through
+// OpFetchBatch over both transports, and the client decodes it to an
+// empty non-nil tuple list even where gob drops zero-length slices.
 func TestEmptyRelationRoundTrip(t *testing.T) {
 	build := func() *core.System {
 		p := core.NewPeer("P").Declare("full", 1).Declare("empty", 1).Fact("full", "x")
@@ -423,7 +423,8 @@ func TestEmptyRelationRoundTrip(t *testing.T) {
 		tr := tr
 		t.Run(name, func(t *testing.T) {
 			nodes := startNetwork(t, build(), tr)
-			// Client boundary: both fetch ops agree on the empty relation.
+			// Client boundary: batched and single fetches agree on the
+			// empty relation.
 			got, err := nodes["Q"].FetchRelations("P", []string{"empty", "full"})
 			if err != nil {
 				t.Fatal(err)
@@ -441,14 +442,15 @@ func TestEmptyRelationRoundTrip(t *testing.T) {
 			if len(single) != 0 {
 				t.Fatalf("single empty relation = %v", single)
 			}
-			// Raw wire: OpFetch of the empty relation is not an error on
-			// either transport, whatever gob does to the empty slice.
-			resp, err := tr.Call(nodes["P"].BoundAddr(), Request{Op: OpFetch, Rel: "empty"})
+			// Raw wire: OpFetchBatch of the empty relation is not an
+			// error on either transport, and the relation keeps its
+			// entry whatever gob does to the empty slice.
+			resp, err := tr.Call(nodes["P"].BoundAddr(), Request{Op: OpFetchBatch, Rels: []string{"empty"}})
 			if err != nil || resp.Err != "" {
-				t.Fatalf("OpFetch empty: err=%v respErr=%q", err, resp.Err)
+				t.Fatalf("OpFetchBatch empty: err=%v respErr=%q", err, resp.Err)
 			}
-			if len(resp.Tuples) != 0 {
-				t.Fatalf("OpFetch empty tuples = %v", resp.Tuples)
+			if raw, ok := resp.RelTuples["empty"]; !ok || len(raw) != 0 {
+				t.Fatalf("OpFetchBatch empty tuples = %v (present %v)", raw, ok)
 			}
 		})
 	}

@@ -26,23 +26,23 @@ import (
 // A Node is safe for concurrent use: the neighbour table is guarded by
 // an internal lock (use SetNeighbor / NeighborAddr, not direct map
 // writes, once the node is shared between goroutines), and the
-// snapshot/relation caches are internally synchronized.
+// spec/relation caches are internally synchronized.
 type Node struct {
 	Peer *core.Peer
 	Addr string
 	// Neighbors maps peer ids to addresses. It is guarded by mu;
 	// concurrent mutation must go through SetNeighbor.
 	Neighbors map[core.PeerID]string
-	// CacheTTL, when positive, caches assembled snapshots and fetched
+	// CacheTTL, when positive, caches fetched peer specifications and
 	// relations for that duration: repeated queries inside the window
 	// skip the network fan-out entirely. SetNeighbor invalidates the
-	// caches. Zero (the default) disables caching — every query sees
-	// the neighbours' live data, the seed behaviour.
+	// changed peer's entries. Zero (the default) disables caching —
+	// every query sees the neighbours' live data, the seed behaviour.
 	CacheTTL time.Duration
-	// Parallelism bounds the concurrent neighbour fetches of Snapshot
-	// and is forwarded to the answering engines (core.SolveOptions /
-	// program.RunOptions). 0 means GOMAXPROCS; 1 restores the fully
-	// sequential seed behaviour. Set before Start. The serving plane
+	// Parallelism bounds the concurrent neighbour fetches of the
+	// snapshot walks and is forwarded to the answering engines
+	// (core.SolveOptions / program.RunOptions). 0 means GOMAXPROCS; 1
+	// restores the fully sequential seed behaviour. Set before Start. The serving plane
 	// overrides it per query via QueryOptions.Parallelism.
 	Parallelism int
 	// NoCoalesce disables in-flight request coalescing in AnswerQuery:
@@ -63,10 +63,10 @@ type Node struct {
 	stop func()
 
 	// dataMu serializes mutations of the live peer instance against the
-	// readers: request handling, spec export and snapshot cloning all
-	// take the read side, UpdateLocal takes the write side. Mutating
-	// n.Peer directly while the node is serving is a data race — the
-	// instance's read caches are only safe under concurrent *reads*.
+	// readers: request handling and snapshot cloning take the read
+	// side, UpdateLocal takes the write side. Mutating n.Peer directly
+	// while the node is serving is a data race — the instance's read
+	// caches are only safe under concurrent *reads*.
 	dataMu sync.RWMutex
 
 	// delegated/delegFallbacks count DelegatedAnswers outcomes;
@@ -76,14 +76,10 @@ type Node struct {
 	lastFallback   string
 
 	cacheMu sync.Mutex
-	// snapGen is bumped by every SetNeighbor (assembled snapshots embed
-	// the overlay shape, so any neighbour change invalidates them);
 	// relGens advances per peer, so relation and spec cache entries of
 	// unrelated peers survive a neighbour update (relation-granular
 	// invalidation).
-	snapGen   uint64
 	relGens   map[core.PeerID]uint64
-	snapCache map[bool]*snapEntry // keyed by the transitive flag
 	relCache  map[string]*relEntry
 	specCache map[core.PeerID]*specEntry
 
@@ -111,7 +107,7 @@ type Node struct {
 	// Serving-plane instrumentation (atomics): TTL cache outcomes,
 	// solver invocations and local writes. Read via CacheStats /
 	// SolverRuns / LocalWrites.
-	snapHits, snapMisses int64
+	specHits, specMisses int64
 	relHits, relMisses   int64
 	solverRuns           int64
 	localWrites          int64
@@ -122,11 +118,6 @@ type Node struct {
 	repairStats repair.Stats
 
 	clock func() time.Time // test hook; nil means time.Now
-}
-
-type snapEntry struct {
-	sys     *core.System
-	expires time.Time
 }
 
 type relEntry struct {
@@ -202,14 +193,10 @@ func (n *Node) Stop() {
 // write to a served peer's instance through here; mutating n.Peer
 // directly while the node is serving is a data race.
 //
-// A local write invalidates the node's own TTL snapshot cache: the
-// cached assembled systems embed this peer's (pre-write) data, so the
-// next query within the TTL must rebuild rather than answer from stale
-// facts. snapGen is bumped under the same critical section, so an
-// in-flight Snapshot build that cloned the pre-write instance cannot
-// store its result after the write. The per-peer relation generation
-// advances too, guarding any caller that cached this peer's relations
-// on this node.
+// A local write is visible to the very next query: every snapshot
+// clones the live peer rather than caching it, and the per-peer
+// relation generation advances under the data lock, guarding any
+// caller that cached this peer's relations on this node.
 func (n *Node) UpdateLocal(fn func(p *core.Peer)) {
 	n.dataMu.Lock()
 	defer n.dataMu.Unlock()
@@ -220,8 +207,6 @@ func (n *Node) UpdateLocal(fn func(p *core.Peer)) {
 		n.Peer.Inst.SetJournal(relation.NewJournal(0))
 	}
 	n.cacheMu.Lock()
-	n.snapGen++
-	n.snapCache = nil
 	if n.relGens == nil {
 		n.relGens = make(map[core.PeerID]uint64)
 	}
@@ -240,19 +225,15 @@ func (n *Node) localClone() *core.Peer {
 	return n.Peer.Clone()
 }
 
-// SetNeighbor records (or updates) a neighbour address and invalidates
-// the caches touched by the change: assembled whole-overlay snapshots
-// are always dropped (they embed the overlay shape), but relation and
-// spec cache entries are evicted only for the changed peer — entries
-// of unrelated peers survive, so a neighbour update does not force
-// refetching the rest of the overlay.
+// SetNeighbor records (or updates) a neighbour address and evicts the
+// changed peer's relation and spec cache entries. Entries of unrelated
+// peers survive, so a neighbour update does not force refetching the
+// rest of the overlay.
 func (n *Node) SetNeighbor(id core.PeerID, addr string) {
 	n.mu.Lock()
 	n.Neighbors[id] = addr
 	n.mu.Unlock()
 	n.cacheMu.Lock()
-	n.snapGen++
-	n.snapCache = nil
 	if n.relGens == nil {
 		n.relGens = make(map[core.PeerID]uint64)
 	}
@@ -297,30 +278,10 @@ func errResp(err error) Response { return Response{Err: err.Error()} }
 
 func (n *Node) handle(req Request) Response {
 	switch req.Op {
-	case OpRelations:
-		// The schema read takes the data lock too: UpdateLocal may grow
-		// the schema (Declare) while the node serves.
-		n.dataMu.RLock()
-		rels := n.Peer.Schema.Relations()
-		n.dataMu.RUnlock()
-		return Response{Relations: rels}
-	case OpFetch:
-		// Normalized to non-nil even when empty, like OpFetchBatch: the
-		// wire contract pins "declared but empty" to an empty slice on
-		// the serving side (gob still drops zero-length slices, so
-		// clients additionally treat a missing field as empty). The
-		// schema check sits under the same lock as the tuple read, so a
-		// concurrent Declare+Fact write is either fully visible or not
-		// at all.
-		n.dataMu.RLock()
-		if !n.Peer.Schema.Has(req.Rel) {
-			n.dataMu.RUnlock()
-			return errResp(fmt.Errorf("peer %s has no relation %s", n.Peer.ID, req.Rel))
-		}
-		tuples := tupleStrings(n.Peer.Inst.Tuples(req.Rel))
-		n.dataMu.RUnlock()
-		return Response{Tuples: tuples}
 	case OpFetchBatch:
+		// The schema check sits under the same lock as the tuple read, so
+		// a concurrent Declare+Fact write is either fully visible or not
+		// at all.
 		rt := make(map[string][][]string, len(req.Rels))
 		n.dataMu.RLock()
 		for _, rel := range req.Rels {
@@ -332,22 +293,9 @@ func (n *Node) handle(req Request) Response {
 		}
 		n.dataMu.RUnlock()
 		return Response{RelTuples: rt}
-	case OpQuery:
-		f, err := foquery.Parse(req.Query)
-		if err != nil {
-			return errResp(err)
-		}
-		n.dataMu.RLock()
-		inst := n.Peer.Inst.Clone()
-		n.dataMu.RUnlock()
-		ans, err := foquery.Answers(inst, f, req.Vars)
-		if err != nil {
-			return errResp(err)
-		}
-		return Response{Tuples: tupleStrings(ans)}
-	case OpExport, OpExportSpec:
-		spec, err := n.exportSpec(req.Op == OpExport)
-		if err != nil {
+	case OpExportSpec:
+		frag := core.NewSystem()
+		if err := frag.AddPeer(n.localClone()); err != nil {
 			return errResp(err)
 		}
 		ns := n.neighborsCopy()
@@ -355,15 +303,14 @@ func (n *Node) handle(req Request) Response {
 		for id, addr := range ns {
 			neigh[string(id)] = addr
 		}
-		return Response{Spec: spec, Neighbors: neigh}
+		return Response{Spec: sysdsl.FormatSpec(frag), Neighbors: neigh}
 	case OpPCA:
 		f, err := foquery.Parse(req.Query)
 		if err != nil {
 			return errResp(err)
 		}
 		var ans []relation.Tuple
-		switch {
-		case req.Delegate:
+		if req.Delegate {
 			// Coalesce identical delegated sub-queries: a burst of
 			// querying roots delegating the same atomic sub-query runs
 			// the delegate-side solve once and shares the answers. The
@@ -387,10 +334,8 @@ func (n *Node) handle(req Request) Response {
 					strings.Join(req.Vars, ","), fmt.Sprint(req.Transitive)}, "\x00")
 				ans, _, err = n.flights.Do(dkey, run)
 			}
-		case req.Sliced:
+		} else {
 			ans, err = n.PeerConsistentAnswersFor(f, req.Vars, req.Transitive)
-		default:
-			ans, err = n.PeerConsistentAnswers(f, req.Vars, req.Transitive)
 		}
 		if err != nil {
 			return errResp(err)
@@ -401,9 +346,9 @@ func (n *Node) handle(req Request) Response {
 }
 
 // tupleStrings renders tuples in the wire form, always non-nil: the
-// empty-relation response is pinned to an empty slice on the serving
-// side for both OpFetch and OpFetchBatch (and the OpQuery/OpPCA answer
-// fields), so the two fetch ops can no longer disagree.
+// wire contract pins "declared but empty" to an empty slice on the
+// serving side (gob still drops zero-length slices, so clients
+// additionally treat a missing field as empty).
 func tupleStrings(ts []relation.Tuple) [][]string {
 	out := make([][]string, 0, len(ts))
 	for _, t := range ts {
@@ -420,101 +365,30 @@ func appendVisited(visited []string, id core.PeerID) []string {
 	return append(out, string(id))
 }
 
-// exportSpec renders this peer's specification as a single-peer system
-// fragment in the sysdsl format, with or without the facts. It formats
-// a clone taken under the data lock, so a concurrent local write cannot
-// race the rendering.
-func (n *Node) exportSpec(withFacts bool) (string, error) {
-	frag := core.NewSystem()
-	if err := frag.AddPeer(n.localClone()); err != nil {
-		return "", err
-	}
-	if withFacts {
-		return sysdsl.Format(frag), nil
-	}
-	return sysdsl.FormatSpec(frag), nil
-}
-
-// Snapshot assembles a core.System from this peer and its (transitively
-// reachable, if requested) neighbours, fetching specifications over the
-// network. In the direct case only immediate neighbours are fetched and
-// their own DECs/trust are dropped (Definition 4 is a local notion); in
-// the transitive case the whole reachable overlay is fetched with
-// specifications intact (Section 4.3).
-//
-// Each BFS level is fetched concurrently on up to Parallelism workers,
-// and with CacheTTL > 0 an assembled snapshot is reused until it
-// expires. Queries never mutate a snapshot, so a cached system is safe
-// to share between concurrent readers.
-func (n *Node) Snapshot(transitive bool) (*core.System, error) {
-	if n.CacheTTL <= 0 {
-		return n.buildSnapshot(transitive)
-	}
-	n.cacheMu.Lock()
-	if e, ok := n.snapCache[transitive]; ok && n.now().Before(e.expires) {
-		n.cacheMu.Unlock()
-		atomic.AddInt64(&n.snapHits, 1)
-		return e.sys, nil
-	}
-	gen := n.snapGen
-	n.cacheMu.Unlock()
-	atomic.AddInt64(&n.snapMisses, 1)
-	// Build outside the lock: the fan-out can take multiple network
-	// round trips and must not serialize concurrent queries (or block
-	// SetNeighbor). Concurrent misses may build duplicate snapshots;
-	// the last store wins, which is harmless.
-	sys, err := n.buildSnapshot(transitive)
-	if err != nil {
-		return nil, err
-	}
-	n.cacheMu.Lock()
-	if n.snapGen == gen {
-		// Don't store a snapshot built against a neighbour table that
-		// SetNeighbor has invalidated since.
-		if n.snapCache == nil {
-			n.snapCache = make(map[bool]*snapEntry)
-		}
-		n.snapCache[transitive] = &snapEntry{sys: sys, expires: n.now().Add(n.CacheTTL)}
-	}
-	n.cacheMu.Unlock()
-	return sys, nil
-}
-
-func (n *Node) buildSnapshot(transitive bool) (*core.System, error) {
-	sys, _, err := n.snapshotBFS(transitive, func(id core.PeerID, addr string) (string, map[string]string, error) {
-		resp, err := n.tr.Call(addr, Request{Op: OpExport})
-		if err != nil {
-			return "", nil, err
-		}
-		if resp.Err != "" {
-			return "", nil, fmt.Errorf("peernet: export from %s: %s", id, resp.Err)
-		}
-		return resp.Spec, resp.Neighbors, nil
-	})
-	return sys, err
-}
-
-// specFragment is one fetched peer export: the sysdsl fragment plus
+// specFragment is one fetched spec export: the sysdsl fragment plus
 // the peer's neighbour addresses.
 type specFragment struct {
 	spec      string
 	neighbors map[string]string
 }
 
-// snapshotBFS is the shared snapshot walk: starting from the DEC
-// neighbours, each BFS level is fetched concurrently through the given
-// fetch callback and merged sequentially in level order, so the
-// assembled system (and any error) is deterministic. In the direct
+// specSnapshot is the specification walk of every snapshot: the root's
+// clone plus the OpExportSpec fragments (no data) of its neighbours.
+// Starting from the DEC neighbours, each BFS level is fetched
+// concurrently (fetchSpec) and merged sequentially in level order, so
+// the assembled system (and any error) is deterministic. In the direct
 // case only immediate neighbours are fetched and their own DECs/trust
 // are dropped (Definition 4 is a local notion); in the transitive case
 // the whole reachable overlay is walked with specifications intact
 // (Section 4.3). It returns the validated system and every address
-// discovered along the way.
-func (n *Node) snapshotBFS(transitive bool, fetch func(id core.PeerID, addr string) (string, map[string]string, error)) (*core.System, map[core.PeerID]string, error) {
+// discovered along the way, so the caller can fetch relations of
+// transitively reachable peers that are not in the local neighbour
+// table.
+func (n *Node) specSnapshot(transitive bool) (*core.System, map[core.PeerID]string, error) {
 	sys := core.NewSystem()
 	// The snapshot gets a clone of the live peer, not the peer itself:
-	// a snapshot (possibly TTL-cached and shared by in-flight queries)
-	// must not alias an instance a concurrent local write can mutate.
+	// a snapshot shared by in-flight queries must not alias an instance
+	// a concurrent local write can mutate.
 	if err := sys.AddPeer(n.localClone()); err != nil {
 		return nil, nil, err
 	}
@@ -543,7 +417,7 @@ func (n *Node) snapshotBFS(transitive bool, fetch func(id core.PeerID, addr stri
 			if !ok {
 				return specFragment{}, fmt.Errorf("peernet: no address known for peer %s", level[i])
 			}
-			spec, neigh, err := fetch(level[i], addr)
+			spec, neigh, err := n.fetchSpec(level[i], addr)
 			return specFragment{spec: spec, neighbors: neigh}, err
 		})
 		if err != nil {
@@ -608,8 +482,9 @@ func (n *Node) neighborIDs() []core.PeerID {
 }
 
 // PeerConsistentAnswers answers a query posed to this peer with
-// Definition 5 semantics, gathering remote data over the network first.
-// With transitive=true the combined-program semantics of Section 4.3 is
+// Definition 5 semantics over a full Snapshot: the unsliced reference
+// that PeerConsistentAnswersFor is checked against. With
+// transitive=true the combined-program semantics of Section 4.3 is
 // used. The node's Parallelism is forwarded to the answering engine.
 func (n *Node) PeerConsistentAnswers(q foquery.Formula, vars []string, transitive bool) ([]relation.Tuple, error) {
 	sys, err := n.Snapshot(transitive)
@@ -637,9 +512,11 @@ func (n *Node) fetchSpec(id core.PeerID, addr string) (string, map[string]string
 		if e, ok := n.specCache[id]; ok && n.now().Before(e.expires) {
 			spec, neigh := e.spec, e.neighbors
 			n.cacheMu.Unlock()
+			atomic.AddInt64(&n.specHits, 1)
 			return spec, neigh, nil
 		}
 		n.cacheMu.Unlock()
+		atomic.AddInt64(&n.specMisses, 1)
 	}
 	resp, err := n.tr.Call(addr, Request{Op: OpExportSpec})
 	if err != nil {
@@ -659,15 +536,6 @@ func (n *Node) fetchSpec(id core.PeerID, addr string) (string, map[string]string
 		n.cacheMu.Unlock()
 	}
 	return resp.Spec, resp.Neighbors, nil
-}
-
-// specSnapshot assembles the specification-only system for a sliced
-// snapshot: the same BFS as buildSnapshot, but shipping OpExportSpec
-// fragments (no data). It returns the system plus every address
-// discovered, so the caller can fetch relations of transitively
-// reachable peers that are not in the local neighbour table.
-func (n *Node) specSnapshot(transitive bool) (*core.System, map[core.PeerID]string, error) {
-	return n.snapshotBFS(transitive, n.fetchSpec)
 }
 
 // SnapshotFor assembles the query-relevance-sliced counterpart of
@@ -690,28 +558,71 @@ func (n *Node) SnapshotFor(q foquery.Formula, transitive bool) (*core.System, *s
 	if err != nil {
 		return nil, nil, err
 	}
-	peers := sl.RemotePeers()
+	if err := n.fetchInto(sys, addrs, sl.RemotePeers(), sl.RelsOf); err != nil {
+		return nil, nil, err
+	}
+	return sys, sl, nil
+}
+
+// Snapshot assembles a core.System from this peer and its (transitively
+// reachable, if requested) neighbours with complete data: the Full-data
+// case of SnapshotFor. It walks the specifications (specSnapshot) and
+// then fetches every relation of every remote peer, one OpFetchBatch
+// round-trip per peer owning relations. In the direct case only
+// immediate neighbours are fetched and their own DECs/trust are dropped
+// (Definition 4 is a local notion); in the transitive case the whole
+// reachable overlay is fetched with specifications intact (Section
+// 4.3). With CacheTTL > 0 both rounds are served from the spec and
+// relation caches that SnapshotFor shares.
+func (n *Node) Snapshot(transitive bool) (*core.System, error) {
+	sys, addrs, err := n.specSnapshot(transitive)
+	if err != nil {
+		return nil, err
+	}
+	peers := sys.Peers()
+	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	remote := peers[:0]
+	for _, id := range peers {
+		if id != n.Peer.ID {
+			remote = append(remote, id)
+		}
+	}
+	relsOf := func(id core.PeerID) []string {
+		p, _ := sys.Peer(id)
+		return p.Schema.Relations()
+	}
+	if err := n.fetchInto(sys, addrs, remote, relsOf); err != nil {
+		return nil, err
+	}
+	return sys, nil
+}
+
+// fetchInto fetches relsOf(p) of every remote peer p of a spec
+// snapshot — concurrently, one OpFetchBatch round-trip per peer with
+// relations, through the TTL relation cache — and inserts the tuples
+// into the peer's snapshot instance. peers must be sorted: the merge
+// runs sequentially in that order, so the system is deterministic.
+func (n *Node) fetchInto(sys *core.System, addrs map[core.PeerID]string, peers []core.PeerID, relsOf func(core.PeerID) []string) error {
 	results, err := parallel.MapErr(len(peers), parallel.Workers(n.Parallelism), func(i int) (map[string][]relation.Tuple, error) {
 		pid := peers[i]
 		addr, ok := addrs[pid]
 		if !ok {
 			return nil, fmt.Errorf("peernet: no address known for peer %s", pid)
 		}
-		return n.fetchRelationsAddr(pid, addr, sl.RelsOf(pid))
+		return n.fetchRelationsAddr(pid, addr, relsOf(pid))
 	})
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	// Merge sequentially in sorted peer order (deterministic system).
 	for i, pid := range peers {
 		rp, _ := sys.Peer(pid)
-		for _, rel := range sl.RelsOf(pid) {
+		for _, rel := range relsOf(pid) {
 			for _, t := range results[i][rel] {
 				rp.Inst.Insert(rel, t)
 			}
 		}
 	}
-	return sys, sl, nil
+	return nil
 }
 
 // QueryOptions tunes one query answered through AnswerQuery — the
@@ -963,8 +874,7 @@ func (n *Node) delegatedAnswers(q foquery.Formula, vars []string, transitive boo
 			}
 			sub, subVars := foquery.AtomQuery(rel, decl.Arity)
 			resp, err := n.tr.Call(addr, Request{
-				Op: OpPCA, Query: sub.String(), Vars: subVars,
-				Transitive: true, Sliced: true,
+				Op: OpPCA, Query: sub.String(), Vars: subVars, Transitive: true,
 				Delegate: true, HopBudget: budget - 1, Visited: visited,
 			})
 			if err != nil {
@@ -1035,11 +945,11 @@ func (n *Node) AnswerCacheStats() (hits, misses int64) {
 	return c.Stats()
 }
 
-// CacheStats reports the TTL cache outcomes: assembled-snapshot cache
-// hits/misses (Snapshot) and per-relation cache hits/misses (the sliced
-// fetch paths). Counters only advance when CacheTTL > 0.
-func (n *Node) CacheStats() (snapHits, snapMisses, relHits, relMisses int64) {
-	return atomic.LoadInt64(&n.snapHits), atomic.LoadInt64(&n.snapMisses),
+// CacheStats reports the TTL cache outcomes: per-peer spec cache
+// hits/misses and per-relation cache hits/misses, shared by Snapshot
+// and SnapshotFor. Counters only advance when CacheTTL > 0.
+func (n *Node) CacheStats() (specHits, specMisses, relHits, relMisses int64) {
+	return atomic.LoadInt64(&n.specHits), atomic.LoadInt64(&n.specMisses),
 		atomic.LoadInt64(&n.relHits), atomic.LoadInt64(&n.relMisses)
 }
 
@@ -1079,11 +989,10 @@ func (n *Node) FetchRelation(id core.PeerID, rel string) ([]relation.Tuple, erro
 func relCacheKey(id core.PeerID, rel string) string { return string(id) + "\x00" + rel }
 
 // FetchRelations retrieves several of a neighbour's relations in ONE
-// network round-trip (OpFetchBatch): the ROADMAP's batched alternative
-// to issuing one OpFetch per relation, which pays the link latency k
-// times. Relations already in the TTL cache are served locally and
-// only the misses travel; the result maps each requested relation to
-// its tuples (decoded from the plain-string wire form at this
+// network round-trip (OpFetchBatch), so k relations pay the link
+// latency once. Relations already in the TTL cache are served locally
+// and only the misses travel; the result maps each requested relation
+// to its tuples (decoded from the plain-string wire form at this
 // boundary).
 func (n *Node) FetchRelations(id core.PeerID, rels []string) (map[string][]relation.Tuple, error) {
 	addr, ok := n.NeighborAddr(id)

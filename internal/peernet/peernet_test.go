@@ -2,12 +2,17 @@ package peernet
 
 import (
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/foquery"
 	"repro/internal/relation"
+	"repro/internal/sysdsl"
+	"repro/internal/workload"
 )
 
 // startNetwork deploys every peer of a system as a node on the given
@@ -45,8 +50,8 @@ func TestFetchAndQueryInProc(t *testing.T) {
 	if len(tuples) != 2 {
 		t.Fatalf("fetched = %v", tuples)
 	}
-	// Remote FO query against P3's raw data.
-	resp, err := NewInProc().Call("nowhere", Request{Op: OpFetch})
+	// A dangling address fails.
+	resp, err := NewInProc().Call("nowhere", Request{Op: OpFetchBatch})
 	if err == nil && resp.Err == "" {
 		t.Fatal("dangling address should fail")
 	}
@@ -135,39 +140,33 @@ func TestOpPCARemoteDelegation(t *testing.T) {
 	}
 }
 
-func TestOpRelationsAndErrors(t *testing.T) {
+// TestWireOpsAndErrors pins the wire protocol's edges: the spec export
+// lists the peer's relations, a batch naming an undeclared relation
+// fails, and any op outside OpExportSpec/OpFetchBatch/OpPCA — the ops
+// of earlier protocol versions included — is answered "unknown op".
+func TestWireOpsAndErrors(t *testing.T) {
 	sys := core.Example1System()
 	tr := NewInProc()
 	nodes := startNetwork(t, sys, tr)
-	resp, err := tr.Call(nodes["P2"].Addr, Request{Op: OpRelations})
+	resp, err := tr.Call(nodes["P2"].Addr, Request{Op: OpExportSpec})
 	if err != nil || resp.Err != "" {
 		t.Fatalf("%v %v", err, resp.Err)
 	}
-	if len(resp.Relations) != 1 || resp.Relations[0] != "r2" {
-		t.Fatalf("relations = %v", resp.Relations)
+	if !strings.Contains(resp.Spec, "relation r2/2") {
+		t.Fatalf("spec export = %q", resp.Spec)
 	}
-	resp, _ = tr.Call(nodes["P2"].Addr, Request{Op: OpFetch, Rel: "zzz"})
+	resp, _ = tr.Call(nodes["P2"].Addr, Request{Op: OpFetchBatch, Rels: []string{"zzz"}})
 	if resp.Err == "" {
 		t.Fatal("fetch of unknown relation should fail")
 	}
-	resp, _ = tr.Call(nodes["P2"].Addr, Request{Op: "bogus"})
-	if resp.Err == "" {
-		t.Fatal("unknown op should fail")
-	}
-}
-
-func TestOpQueryRemote(t *testing.T) {
-	sys := core.Example1System()
-	tr := NewInProc()
-	nodes := startNetwork(t, sys, tr)
-	resp, err := tr.Call(nodes["P3"].Addr, Request{
-		Op: OpQuery, Query: "r3(X,Y) & X = a", Vars: []string{"Y"},
-	})
-	if err != nil || resp.Err != "" {
-		t.Fatalf("%v %v", err, resp.Err)
-	}
-	if len(resp.Tuples) != 1 || resp.Tuples[0][0] != "f" {
-		t.Fatalf("tuples = %v", resp.Tuples)
+	for _, op := range []Op{"bogus", "export", "fetch", "query", "relations"} {
+		resp, err := tr.Call(nodes["P2"].Addr, Request{Op: op, Rels: []string{"r2"}, Query: "r2(X,Y)", Vars: []string{"X", "Y"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(resp.Err, "unknown op") || resp.Tuples != nil || resp.Spec != "" {
+			t.Fatalf("op %q: resp = %+v, want an unknown-op error", op, resp)
+		}
 	}
 }
 
@@ -179,7 +178,7 @@ func TestInProcLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := tr.Call("a", Request{Op: OpRelations}); err != nil {
+	if _, err := tr.Call("a", Request{Op: OpExportSpec}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
@@ -201,17 +200,17 @@ func TestInProcDuplicateBind(t *testing.T) {
 func TestTCPTransportRoundTrip(t *testing.T) {
 	tr := &TCP{}
 	bound, closer, err := tr.Listen("127.0.0.1:0", func(req Request) Response {
-		return Response{Relations: []string{"echo-" + string(req.Op)}}
+		return Response{Spec: "echo-" + string(req.Op)}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closer()
-	resp, err := tr.Call(bound, Request{Op: OpRelations})
+	resp, err := tr.Call(bound, Request{Op: OpExportSpec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Relations) != 1 || resp.Relations[0] != "echo-relations" {
+	if resp.Spec != "echo-exportspec" {
 		t.Fatalf("resp = %+v", resp)
 	}
 	if _, err := tr.Call("127.0.0.1:1", Request{}); err == nil {
@@ -226,6 +225,69 @@ func TestSnapshotMissingNeighbor(t *testing.T) {
 	if _, err := n.Snapshot(false); err == nil {
 		t.Fatal("snapshot without neighbour addresses should fail")
 	}
+}
+
+// TestSnapshotReproducesSystem: Snapshot assembles, over the wire, the
+// system the semantics is defined on. Direct: the root plus its DEC
+// neighbours with their own DECs/trust dropped. Transitive: the whole
+// reachable overlay (every peer, under the full-mesh neighbour tables)
+// with specifications intact. Both are compared as sysdsl text,
+// schemas, facts, trust and DECs included.
+func TestSnapshotReproducesSystem(t *testing.T) {
+	for _, fx := range []struct {
+		name  string
+		build func() *core.System
+		root  core.PeerID
+	}{
+		{"Example1", core.Example1System, "P1"},
+		{"WideUniverse", func() *core.System { return workload.WideUniverse(3, 2, 4, 1, 1) }, "P0"},
+	} {
+		for name, newTr := range map[string]func() Transport{
+			"inproc": func() Transport { return NewInProc() },
+			"tcp":    func() Transport { return &TCP{} },
+		} {
+			fx, newTr := fx, newTr
+			t.Run(fx.name+"/"+name, func(t *testing.T) {
+				src := fx.build()
+				root, _ := src.Peer(fx.root)
+				direct := core.NewSystem()
+				direct.MustAddPeer(root.Clone())
+				for id := range root.DECs {
+					p, _ := src.Peer(id)
+					c := p.Clone()
+					c.DECs = make(map[core.PeerID][]*constraint.Dependency)
+					c.Trust = make(map[core.PeerID]core.TrustLevel)
+					direct.MustAddPeer(c)
+				}
+				nodes := startNetwork(t, fx.build(), newTr())
+				for _, tc := range []struct {
+					transitive bool
+					want       *core.System
+				}{{false, direct}, {true, src}} {
+					got, err := nodes[fx.root].Snapshot(tc.transitive)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g, w := formatSorted(got), formatSorted(tc.want); g != w {
+						t.Fatalf("transitive=%v snapshot:\n%s\nwant:\n%s", tc.transitive, g, w)
+					}
+				}
+			})
+		}
+	}
+}
+
+// formatSorted renders a system as sysdsl text with its peers in id
+// order, so systems assembled in different peer orders compare equal.
+func formatSorted(sys *core.System) string {
+	ids := sys.Peers()
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out := core.NewSystem()
+	for _, id := range ids {
+		p, _ := sys.Peer(id)
+		out.MustAddPeer(p.Clone())
+	}
+	return sysdsl.Format(out)
 }
 
 // TestNetworkedPCATransitiveTCP repeats the Example 4 discovery

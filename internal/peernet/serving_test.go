@@ -14,11 +14,10 @@ import (
 
 // TestUpdateLocalInvalidatesSnapshotCache is the write-visibility
 // regression test: with the TTL caches warm, a local write must be
-// visible to the very next query — UpdateLocal drops the node's own
-// snapshot cache instead of serving pre-write data for up to CacheTTL.
-// Both answering paths are pinned: the unsliced one (whose Snapshot is
-// the cache that went stale) and the sliced one (whose fingerprint must
-// move with the write).
+// visible to the very next query instead of serving pre-write data for
+// up to CacheTTL. Both answering paths are pinned: the unsliced one
+// (Snapshot, whose remote data is served from the TTL caches) and the
+// sliced one (whose fingerprint must move with the write).
 func TestUpdateLocalInvalidatesSnapshotCache(t *testing.T) {
 	for _, mode := range []string{"unsliced", "sliced"} {
 		t.Run(mode, func(t *testing.T) {
@@ -85,10 +84,9 @@ func TestUpdateLocalInvalidatesSnapshotCache(t *testing.T) {
 
 // TestSchemaMutatingUpdateLocalVsRequestsRace grows the served peer's
 // schema (Declare + Fact through UpdateLocal) while concurrent
-// requests exercise every handler path that reads it — OpRelations and
-// OpFetch read the live schema (the seed read them outside dataMu),
-// OpExport renders a clone, and the PCA path snapshots it. Run under
-// -race.
+// requests exercise every handler path that reads it — OpFetchBatch
+// reads the live schema, OpExportSpec renders a clone, and the PCA path
+// snapshots it. Run under -race.
 func TestSchemaMutatingUpdateLocalVsRequestsRace(t *testing.T) {
 	sys := core.Example1System()
 	tr := NewInProc()
@@ -96,8 +94,8 @@ func TestSchemaMutatingUpdateLocalVsRequestsRace(t *testing.T) {
 	p1 := nodes["P1"]
 
 	// The writer count is bounded: every Declare grows the schema that
-	// each snapshot and export then has to clone, so an unbounded loop
-	// turns the test quadratic.
+	// each snapshot and spec export then has to clone, so an unbounded
+	// loop turns the test quadratic.
 	var writer sync.WaitGroup
 	writer.Add(1)
 	go func() {
@@ -113,22 +111,11 @@ func TestSchemaMutatingUpdateLocalVsRequestsRace(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		wg.Add(4)
+		wg.Add(3)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				resp, err := tr.Call(p1.Addr, Request{Op: OpRelations})
-				if err != nil {
-					t.Error(err)
-				} else if resp.Err != "" {
-					t.Error(resp.Err)
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 10; j++ {
-				resp, err := tr.Call(p1.Addr, Request{Op: OpFetch, Rel: "r1"})
+				resp, err := tr.Call(p1.Addr, Request{Op: OpFetchBatch, Rels: []string{"r1"}})
 				if err != nil {
 					t.Error(err)
 				} else if resp.Err != "" {
@@ -136,7 +123,7 @@ func TestSchemaMutatingUpdateLocalVsRequestsRace(t *testing.T) {
 				}
 				// Probing a relation the writer may be declaring right now
 				// must answer cleanly either way (declared or not yet).
-				if _, err := tr.Call(p1.Addr, Request{Op: OpFetch, Rel: fmt.Sprintf("dyn%d", j)}); err != nil {
+				if _, err := tr.Call(p1.Addr, Request{Op: OpFetchBatch, Rels: []string{fmt.Sprintf("dyn%d", j)}}); err != nil {
 					t.Error(err)
 				}
 			}
@@ -144,7 +131,7 @@ func TestSchemaMutatingUpdateLocalVsRequestsRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				resp, err := tr.Call(p1.Addr, Request{Op: OpExport})
+				resp, err := tr.Call(p1.Addr, Request{Op: OpExportSpec})
 				if err != nil {
 					t.Error(err)
 				} else if resp.Err != "" {

@@ -54,8 +54,8 @@ func TestSlicedAnswersEqualFull(t *testing.T) {
 
 // TestSnapshotForFetchesOnlySlice: a sliced snapshot must move no
 // bystander data over the wire (only spec exports and the relevant
-// relations travel), while still assembling a valid system containing
-// every peer's schema.
+// relations travel, in one batch from the one relevant peer), while
+// still assembling a valid system containing every peer's schema.
 func TestSnapshotForFetchesOnlySlice(t *testing.T) {
 	sys := workload.WideUniverse(3, 2, 4, 1, 1)
 	tr := &opRecordingTransport{Transport: NewInProc()}
@@ -73,8 +73,8 @@ func TestSnapshotForFetchesOnlySlice(t *testing.T) {
 	if !reflect.DeepEqual(fetched, []string{"c0"}) {
 		t.Fatalf("fetched relations %v, want [c0]", fetched)
 	}
-	if tr.count(OpExport) != 0 {
-		t.Fatal("sliced snapshot must not use full exports")
+	if n := tr.count(OpFetchBatch); n != 1 {
+		t.Fatalf("sliced snapshot made %d batch fetches, want 1 (PC)", n)
 	}
 	// The snapshot still knows every peer (schemas and constraints for
 	// validation), just without bystander data.
@@ -202,25 +202,26 @@ func TestOpExportSpecOmitsFacts(t *testing.T) {
 	}
 }
 
-// TestOpPCASliced: the wire-level sliced PCA answers match the
-// unsliced op.
+// TestOpPCASliced checks that the wire-level PCA answers, computed
+// through the sliced pipeline, match the node's unsliced
+// PeerConsistentAnswers.
 func TestOpPCASliced(t *testing.T) {
 	sys := core.Example1System()
 	tr := NewInProc()
 	nodes := startNetwork(t, sys, tr)
-	full, err := tr.Call(nodes["P1"].Addr, Request{Op: OpPCA, Query: "r1(X,Y)", Vars: []string{"X", "Y"}})
+	full, err := nodes["P1"].PeerConsistentAnswers(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sliced, err := tr.Call(nodes["P1"].Addr, Request{Op: OpPCA, Query: "r1(X,Y)", Vars: []string{"X", "Y"}, Sliced: true})
+	sliced, err := tr.Call(nodes["P1"].Addr, Request{Op: OpPCA, Query: "r1(X,Y)", Vars: []string{"X", "Y"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Err != "" || sliced.Err != "" {
-		t.Fatalf("errs: %q / %q", full.Err, sliced.Err)
+	if sliced.Err != "" {
+		t.Fatal(sliced.Err)
 	}
-	if !reflect.DeepEqual(sliced.Tuples, full.Tuples) {
-		t.Fatalf("sliced op answers %v != %v", sliced.Tuples, full.Tuples)
+	if !reflect.DeepEqual(sliced.Tuples, tupleStrings(full)) {
+		t.Fatalf("sliced op answers %v != %v", sliced.Tuples, full)
 	}
 }
 
@@ -239,9 +240,6 @@ func (t *opRecordingTransport) Call(addr string, req Request) (Response, error) 
 	t.ops = append(t.ops, req.Op)
 	if req.Op == OpFetchBatch {
 		t.rels = append(t.rels, req.Rels...)
-	}
-	if req.Op == OpFetch {
-		t.rels = append(t.rels, req.Rel)
 	}
 	t.mu.Unlock()
 	return t.Transport.Call(addr, req)

@@ -6,9 +6,11 @@
 // transitive case, assemble the combined specification program of
 // Section 4.3 from exported peer fragments.
 //
-// Two transports are provided: an in-process transport with
-// configurable latency (tests, benchmarks) and a TCP transport with
-// gob encoding (deployments).
+// The wire protocol has three operations, all of which nodes send to
+// each other: OpExportSpec (the specification walk), OpFetchBatch (the
+// relation data) and OpPCA (delegated sub-queries). Two transports are
+// provided: an in-process transport with configurable latency (tests,
+// benchmarks) and a TCP transport with gob encoding (deployments).
 package peernet
 
 import (
@@ -25,27 +27,18 @@ type Op string
 
 // Remote operations.
 const (
-	// OpRelations lists the peer's relations.
-	OpRelations Op = "relations"
-	// OpFetch retrieves all tuples of one relation.
-	OpFetch Op = "fetch"
-	// OpFetchBatch retrieves several relations in one round-trip: the
-	// batched counterpart of OpFetch, so a peer needing k of a
-	// neighbour's relations pays one link latency instead of k.
-	OpFetchBatch Op = "fetchbatch"
-	// OpQuery evaluates a first-order query over the peer's local
-	// instance (no repair semantics; the remote peer's raw data).
-	OpQuery Op = "query"
-	// OpExport returns the peer's specification (schema, facts, DECs,
-	// trust) in the sysdsl format plus its neighbour addresses.
-	OpExport Op = "export"
-	// OpExportSpec returns the specification without facts (schema,
-	// DECs, trust, neighbour addresses only): the cheap first round of
-	// a query-relevance-sliced snapshot, which plans which relations to
-	// fetch before any data moves.
+	// OpExportSpec returns the peer's specification without facts
+	// (schema, DECs, trust) in the sysdsl format plus its neighbour
+	// addresses: the first round of every snapshot, which plans which
+	// relations to fetch before any data moves.
 	OpExportSpec Op = "exportspec"
+	// OpFetchBatch retrieves all tuples of several relations in one
+	// round-trip, so a peer needing k of a neighbour's relations pays
+	// one link latency instead of k.
+	OpFetchBatch Op = "fetchbatch"
 	// OpPCA asks the remote peer for its own peer consistent answers
-	// to an atomic query (peer-to-peer query delegation).
+	// to an atomic query (peer-to-peer query delegation), computed
+	// through its query-relevance-sliced pipeline.
 	OpPCA Op = "pca"
 )
 
@@ -53,18 +46,11 @@ const (
 // is a node-local concern, ids are never meaningful across peers.
 type Request struct {
 	Op    Op
-	Rel   string
 	Rels  []string // OpFetchBatch: the relations to retrieve
 	Query string
 	Vars  []string
 	// Transitive selects the Section 4.3 semantics for OpPCA.
 	Transitive bool
-	// Sliced asks OpPCA to answer through the query-relevance-sliced
-	// pipeline (Node.PeerConsistentAnswersFor): the remote peer then
-	// fetches only the relations its slice needs and may serve the
-	// answers from its slice-keyed cache. Answers are identical either
-	// way.
-	Sliced bool
 	// Delegate asks OpPCA to answer through the delegated distributed
 	// path (Node.DelegatedAnswers): the remote peer decomposes its own
 	// relevance slice per owning peer and fans the sub-queries out in
@@ -88,7 +74,6 @@ type Request struct {
 // Response is a wire response.
 type Response struct {
 	Err       string
-	Relations []string
 	Tuples    [][]string
 	RelTuples map[string][][]string // OpFetchBatch: relation -> tuples
 	Spec      string

@@ -138,16 +138,16 @@ func TestAcceptLoopRecoversAfterTransientError(t *testing.T) {
 	done := make(chan struct{})
 	defer close(done)
 	go acceptLoop(ln, func(req Request) Response {
-		return Response{Relations: []string{"served-" + string(req.Op)}}
+		return Response{Spec: "served-" + string(req.Op)}
 	}, done, time.Second)
-	if err := gob.NewEncoder(client).Encode(&Request{Op: OpRelations}); err != nil {
+	if err := gob.NewEncoder(client).Encode(&Request{Op: OpExportSpec}); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
 	if err := gob.NewDecoder(client).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Relations) != 1 || resp.Relations[0] != "served-relations" {
+	if resp.Spec != "served-exportspec" {
 		t.Fatalf("resp = %+v", resp)
 	}
 }

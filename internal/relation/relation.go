@@ -1149,29 +1149,6 @@ func DeltaIDs(tab *symtab.Table, delta []Fact) []symtab.Sym {
 	return ids
 }
 
-// XorIDs returns the symmetric difference of two sorted id sets as a
-// new sorted id set (a single merge walk).
-func XorIDs(a, b []symtab.Sym) []symtab.Sym {
-	out := make([]symtab.Sym, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // SubsetOfIDs reports a ⊆ b for sorted id sets via a single merge
 // walk.
 func SubsetOfIDs(a, b []symtab.Sym) bool {

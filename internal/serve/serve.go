@@ -13,11 +13,12 @@
 // reads (copy-on-write instance clones), a content-addressed answer
 // cache, and in-flight coalescing of identical concurrent queries
 // (singleflight on the slice/fingerprint answer key). Local writes go
-// through Write -> Node.UpdateLocal, which invalidates the node's
-// snapshot cache — a write is visible to the next query, with no TTL
-// staleness window on the served peer's own data. (Remote peers' data
-// is still read through the TTL caches; that freshness bound is the
-// documented CacheTTL semantics, not a serving-plane artifact.)
+// through Write -> Node.UpdateLocal, and every query snapshots a fresh
+// clone of the served peer — a write is visible to the next query,
+// with no TTL staleness window on the served peer's own data. (Remote
+// peers' data is still read through the TTL caches; that freshness
+// bound is the documented CacheTTL semantics, not a serving-plane
+// artifact.)
 package serve
 
 import (
@@ -151,8 +152,8 @@ func New(node *peernet.Node, cfg Config) *Server {
 	stat := func(name string, read func() int64) { reg.Func(name, func() float64 { return float64(read()) }) }
 	stat("node_answer_cache_hits", func() int64 { h, _ := node.AnswerCacheStats(); return h })
 	stat("node_answer_cache_misses", func() int64 { _, m := node.AnswerCacheStats(); return m })
-	stat("node_snapshot_cache_hits", func() int64 { h, _, _, _ := node.CacheStats(); return h })
-	stat("node_snapshot_cache_misses", func() int64 { _, m, _, _ := node.CacheStats(); return m })
+	stat("node_spec_cache_hits", func() int64 { h, _, _, _ := node.CacheStats(); return h })
+	stat("node_spec_cache_misses", func() int64 { _, m, _, _ := node.CacheStats(); return m })
 	stat("node_relation_cache_hits", func() int64 { _, _, h, _ := node.CacheStats(); return h })
 	stat("node_relation_cache_misses", func() int64 { _, _, _, m := node.CacheStats(); return m })
 	stat("node_coalesce_leaders", func() int64 { l, _ := node.CoalesceStats(); return l })
@@ -260,19 +261,10 @@ func (s *Server) Answer(q foquery.Formula, vars []string, transitive bool) ([]re
 	return ans, nil
 }
 
-// AnswerString is Answer over an unparsed query.
-func (s *Server) AnswerString(query string, vars []string, transitive bool) ([]relation.Tuple, error) {
-	f, err := foquery.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return s.Answer(f, vars, transitive)
-}
-
 // Write inserts a fact into the served peer through UpdateLocal: the
-// snapshot cache is invalidated and the data fingerprint moves, so the
-// write is visible to the very next query. The relation must be
-// declared by the peer with matching arity.
+// data fingerprint moves, so the write is visible to the very next
+// query. The relation must be declared by the peer with matching
+// arity.
 func (s *Server) Write(rel string, tuple []string) error {
 	var werr error
 	s.node.UpdateLocal(func(p *core.Peer) {

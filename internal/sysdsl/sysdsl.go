@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/constraint"
 	"repro/internal/core"
-	"repro/internal/relation"
 	"repro/internal/term"
 )
 
@@ -529,16 +528,6 @@ func sortedNeighbours(p *core.Peer) []string {
 		for j := i; j > 0 && out[j] < out[j-1]; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
-	}
-	return out
-}
-
-// RelationTuples is a helper for wire transfer: relation name to
-// tuples, in deterministic order.
-func RelationTuples(in *relation.Instance) map[string][]relation.Tuple {
-	out := map[string][]relation.Tuple{}
-	for _, rel := range in.Relations() {
-		out[rel] = in.Tuples(rel)
 	}
 	return out
 }
