@@ -1,29 +1,29 @@
 // Package repro's root benchmarks: one testing.B benchmark per
-// experiment row of EXPERIMENTS.md (E-series fidelity checks appear as
-// correctness-verifying benchmarks; B-series scaling rows as parameter
-// sweeps via sub-benchmarks). Regenerate everything with
+// experiment of cmd/p2pbench (`p2pbench -list` names them). E-series
+// fidelity checks appear as correctness-verifying benchmarks; the
+// B-series sweeps and the gated cases come from the internal/benchcase
+// table, which p2pbench's report rows and its -gate read too. Run
+// everything with
 //
-//	go test -bench=. -benchmem
+//	go test -run NONE -bench=. -benchmem
 //
 // or through cmd/p2pbench, which prints the same series as tables.
 package repro
 
 import (
 	"fmt"
+	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/benchcase"
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/foquery"
 	"repro/internal/lp"
 	"repro/internal/lp/ground"
 	"repro/internal/lp/solve"
-	"repro/internal/peernet"
 	"repro/internal/program"
-	"repro/internal/repair"
 	"repro/internal/rewrite"
-	"repro/internal/slice"
 	"repro/internal/workload"
 )
 
@@ -135,239 +135,109 @@ func BenchmarkE7LocalIC(b *testing.B) {
 	}
 }
 
-// BenchmarkB1PCAVsSize sweeps instance size per engine.
-func BenchmarkB1PCAVsSize(b *testing.B) {
-	for _, n := range []int{5, 10, 20, 40} {
-		s := workload.Example1Shaped(n, 3, 2, 1)
-		q := foquery.MustParse("r1(X,Y)")
-		b.Run(fmt.Sprintf("rewrite/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rewrite.PCAByRewriting(s, "P1", "r1", []string{"X", "Y"}, rewrite.Options{}); err != nil {
-					b.Fatal(err)
-				}
+// benchCase runs one table case as a sub-benchmark at parallelism par.
+// The fixture is built on the first call (untimed) and torn down after
+// the sub-benchmark; a case the -bench filter skips is never built.
+func benchCase(b *testing.B, name string, c benchcase.Case, par int) {
+	var op func() (any, error)
+	done := func() {}
+	b.Run(name, func(b *testing.B) {
+		if op == nil {
+			var err error
+			if op, done, err = c.Setup(par); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run(fmt.Sprintf("lp/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := program.PeerConsistentAnswersViaLP(s, "P1", q, []string{"X", "Y"}, program.RunOptions{}); err != nil {
-					b.Fatal(err)
-				}
+			b.ResetTimer()
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := op(); err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run(fmt.Sprintf("repair/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.PeerConsistentAnswers(s, "P1", q, []string{"X", "Y"}, core.SolveOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
+	})
+	done()
+}
+
+// benchFamily runs every table case of one experiment ("B1", ...) as a
+// sub-benchmark named after the rest of the case name.
+func benchFamily(b *testing.B, exp string, par int) {
+	for _, c := range benchcase.Cases {
+		if rest, ok := strings.CutPrefix(c.Name, exp+"/"); ok {
+			benchCase(b, rest, c, par)
+		}
 	}
 }
 
+// tableCase looks up a table case by name.
+func tableCase(b *testing.B, name string) benchcase.Case {
+	for _, c := range benchcase.Cases {
+		if c.Name == name {
+			return c
+		}
+	}
+	b.Fatalf("no benchmark case %s", name)
+	return benchcase.Case{}
+}
+
+// BenchmarkGate runs the cases p2pbench -gate measures, at the gate's
+// Parallelism 1, so the gated paths can be profiled with the standard
+// tooling:
+//
+//	go test -run NONE -bench 'Gate/B5' -cpuprofile cpu.prof .
+func BenchmarkGate(b *testing.B) {
+	for _, c := range benchcase.Cases {
+		if c.Gate != "" {
+			benchCase(b, c.Name, c, 1)
+		}
+	}
+}
+
+// BenchmarkB1PCAVsSize sweeps instance size per engine.
+func BenchmarkB1PCAVsSize(b *testing.B) { benchFamily(b, "B1", 0) }
+
 // BenchmarkB1PCAVsSizeParallel is the parallel variant of B1: the
 // repair engine at Parallelism 1 vs 4 vs GOMAXPROCS on the largest B1
-// workload. On multi-core, par=4 tracks the sequential time divided by
+// workloads. On multi-core, par=4 tracks the sequential time divided by
 // min(4, cores); par=1 is the byte-identical sequential baseline.
 func BenchmarkB1PCAVsSizeParallel(b *testing.B) {
 	for _, n := range []int{20, 40} {
-		s := workload.Example1Shaped(n, 3, 2, 1)
-		q := foquery.MustParse("r1(X,Y)")
+		c := tableCase(b, fmt.Sprintf("B1/repair/n=%d", n))
 		for _, par := range []int{1, 4, 0} {
 			name := fmt.Sprintf("repair/par=%d/n=%d", par, n)
 			if par == 0 {
 				name = fmt.Sprintf("repair/par=max/n=%d", n)
 			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.PeerConsistentAnswers(s, "P1", q, []string{"X", "Y"}, core.SolveOptions{Parallelism: par}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			benchCase(b, name, c, par)
 		}
 	}
 }
 
 // BenchmarkB2ConflictBlowup sweeps the number of independent conflicts.
-func BenchmarkB2ConflictBlowup(b *testing.B) {
-	for _, k := range []int{1, 2, 3, 4, 5} {
-		s := workload.IndependentConflicts(k)
-		b.Run(fmt.Sprintf("lp/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sols, err := program.SolutionsViaLP(s, "A", program.RunOptions{})
-				if err != nil || len(sols) != 1<<k {
-					b.Fatalf("solutions = %d, %v", len(sols), err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("repair/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sols, err := core.SolutionsFor(s, "A", core.SolveOptions{})
-				if err != nil || len(sols) != 1<<k {
-					b.Fatalf("solutions = %d, %v", len(sols), err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkB2ConflictBlowup(b *testing.B) { benchFamily(b, "B2", 0) }
 
 // BenchmarkB3Crossover sweeps conflicts at fixed size across engines.
-func BenchmarkB3Crossover(b *testing.B) {
-	for _, k := range []int{1, 2, 3, 4} {
-		s := workload.Example1Shaped(10, 2, k, 1)
-		q := foquery.MustParse("r1(X,Y)")
-		b.Run(fmt.Sprintf("rewrite/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rewrite.PCAByRewriting(s, "P1", "r1", []string{"X", "Y"}, rewrite.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("lp/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := program.PeerConsistentAnswersViaLP(s, "P1", q, []string{"X", "Y"}, program.RunOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkB3Crossover(b *testing.B) { benchFamily(b, "B3", 0) }
 
 // BenchmarkB4ShiftAblation compares disjunctive and shifted solving.
-func BenchmarkB4ShiftAblation(b *testing.B) {
-	for _, k := range []int{2, 4, 6} {
-		s := workload.IndependentConflicts(k)
-		g := groundProgram(b, s, "A")
-		b.Run(fmt.Sprintf("disjunctive/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := solve.StableModels(g, solve.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		sh, err := solve.Shift(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("shifted/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := solve.StableModels(sh, solve.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkB4ShiftAblation(b *testing.B) { benchFamily(b, "B4", 0) }
 
 // BenchmarkB5Grounding sweeps fact counts through the grounder.
-func BenchmarkB5Grounding(b *testing.B) {
-	for _, n := range []int{10, 25, 50, 100} {
-		s := workload.ReferentialShaped(1, 2, n, 1)
-		prog, _, err := program.BuildDirect(s, "P")
-		if err != nil {
-			b.Fatal(err)
-		}
-		unfolded, err := lp.UnfoldChoice(prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("facts=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ground.Ground(unfolded); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkB5Grounding(b *testing.B) { benchFamily(b, "B5", 0) }
 
-// BenchmarkB6Network measures networked PCA per transport/latency:
-// each neighbour costs 2 round trips (spec export, then one batch
-// fetch).
-func BenchmarkB6Network(b *testing.B) {
-	for _, cfg := range []struct {
-		name    string
-		latency time.Duration
-	}{{"latency=0", 0}, {"latency=1ms", time.Millisecond}} {
-		sys := core.Example1System()
-		tr := peernet.NewInProc()
-		tr.Latency = cfg.latency
-		nodes := map[core.PeerID]*peernet.Node{}
-		for _, id := range sys.Peers() {
-			p, _ := sys.Peer(id)
-			n := peernet.NewNode(p, tr, nil)
-			if err := n.Start(":0"); err != nil {
-				b.Fatal(err)
-			}
-			defer n.Stop()
-			nodes[id] = n
-		}
-		for _, n := range nodes {
-			for _, m := range nodes {
-				if n != m {
-					n.SetNeighbor(m.Peer.ID, m.Addr)
-				}
-			}
-		}
-		q := foquery.MustParse("r1(X,Y)")
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ans, err := nodes["P1"].PeerConsistentAnswers(q, []string{"X", "Y"}, false)
-				if err != nil || len(ans) != 3 {
-					b.Fatalf("%v %v", ans, err)
-				}
-			}
-		})
-	}
-}
+// BenchmarkB6Network measures networked PCA per transport, latency and
+// cache setting: each neighbour costs 2 round trips (spec export, then
+// one batch fetch), none with warm caches.
+func BenchmarkB6Network(b *testing.B) { benchFamily(b, "B6", 0) }
 
-// BenchmarkB6NetworkParallel is the parallel variant of B6: networked
-// PCA at 1ms link latency with sequential fan-out (2 round trips per
-// neighbour), 4-way concurrent fan-out (2 round trips in all), and warm
-// TTL spec and relation caches (none). The fan-out win is
-// latency-bound, so it shows even on a single core.
+// BenchmarkB6NetworkParallel contrasts sequential (2 round trips per
+// neighbour) with 4-way concurrent fan-out (2 round trips in all) at
+// 1ms link latency. The win is latency-bound, so it shows even on a
+// single core.
 func BenchmarkB6NetworkParallel(b *testing.B) {
-	for _, cfg := range []struct {
-		name        string
-		parallelism int
-		cacheTTL    time.Duration
-	}{
-		{"fanout=seq", 1, 0},
-		{"fanout=par4", 4, 0},
-		{"cache=warm", 1, time.Hour},
-	} {
-		sys := core.Example1System()
-		tr := peernet.NewInProc()
-		tr.Latency = time.Millisecond
-		nodes := map[core.PeerID]*peernet.Node{}
-		for _, id := range sys.Peers() {
-			p, _ := sys.Peer(id)
-			n := peernet.NewNode(p, tr, nil)
-			n.Parallelism = cfg.parallelism
-			n.CacheTTL = cfg.cacheTTL
-			if err := n.Start(":0"); err != nil {
-				b.Fatal(err)
-			}
-			defer n.Stop()
-			nodes[id] = n
-		}
-		for _, n := range nodes {
-			for _, m := range nodes {
-				if n != m {
-					n.SetNeighbor(m.Peer.ID, m.Addr)
-				}
-			}
-		}
-		q := foquery.MustParse("r1(X,Y)")
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ans, err := nodes["P1"].PeerConsistentAnswers(q, []string{"X", "Y"}, false)
-				if err != nil || len(ans) != 3 {
-					b.Fatalf("%v %v", ans, err)
-				}
-			}
-		})
-	}
+	c := tableCase(b, "B6/latency=1ms")
+	benchCase(b, "fanout=seq", c, 1)
+	benchCase(b, "fanout=par4", c, 4)
 }
 
 // BenchmarkB7ChoiceUnfolding measures the choice-unfolding pipeline.
@@ -397,147 +267,26 @@ func BenchmarkB7ChoiceUnfolding(b *testing.B) {
 }
 
 // BenchmarkB8SupportPropagation ablates the solver's support pruning.
-func BenchmarkB8SupportPropagation(b *testing.B) {
-	for _, k := range []int{2, 4, 6} {
-		s := workload.IndependentConflicts(k)
-		g := groundProgram(b, s, "A")
-		b.Run(fmt.Sprintf("with/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := solve.StableModels(g, solve.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("without/k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := solve.StableModels(g, solve.Options{NoSupportPropagation: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func groundProgram(b *testing.B, s *core.System, id core.PeerID) *ground.Program {
-	b.Helper()
-	prog, _, err := program.BuildDirect(s, id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	unfolded, err := lp.UnfoldChoice(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := ground.Ground(unfolded)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
+func BenchmarkB8SupportPropagation(b *testing.B) { benchFamily(b, "B8", 0) }
 
 // BenchmarkB9WideUniverseSlicing contrasts full against sliced
 // answering on the wide-universe workload (tiny query-relevant core,
-// wide bystander overlay), in-process: the sliced variant computes the
-// relevance slice and answers with slice-restricted options.
-func BenchmarkB9WideUniverseSlicing(b *testing.B) {
-	s := workload.WideUniverse(8, 3, 40, 2, 1)
-	q := foquery.MustParse("q0(X,Y)")
-	vars := []string{"X", "Y"}
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.PeerConsistentAnswers(s, "P0", q, vars, core.SolveOptions{Parallelism: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sliced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sl, err := slice.ForQuery(s, "P0", q, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, err = core.PeerConsistentAnswers(s, "P0", q, vars, core.SolveOptions{
-				Parallelism:  1,
-				KeepDep:      sl.KeepDep,
-				RelevantRels: sl.RelevantRels(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
+// wide bystander overlay), in process.
+func BenchmarkB9WideUniverseSlicing(b *testing.B) { benchFamily(b, "B9", 1) }
 
 // BenchmarkB10ScatteredConflicts contrasts the global wave search
 // against the conflict-localized engine on k independent conflicts
 // scattered over disjoint relation pairs: consistent answering of a
 // single-relation query (per-component evaluation, no cross-product
 // materialization) and solution enumeration (composed cross-product).
-func BenchmarkB10ScatteredConflicts(b *testing.B) {
-	const k = 8
-	s := workload.ScatteredConflicts(k, 20, 1)
-	p, _ := s.Peer("A")
-	deps := p.DECs["B"]
-	inst := s.Global()
-	q := foquery.MustParse("ra0(X,Y)")
-	vars := []string{"X", "Y"}
-	b.Run("cqa-global", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := repair.ConsistentAnswers(inst.Clone(), deps, q, vars, repair.Options{NoLocalize: true, Parallelism: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cqa-localized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := repair.ConsistentAnswers(inst.Clone(), deps, q, vars, repair.Options{Parallelism: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("solve-global", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SolutionsFor(s, "A", core.SolveOptions{NoLocalize: true, Parallelism: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("solve-localized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SolutionsFor(s, "A", core.SolveOptions{Parallelism: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
+func BenchmarkB10ScatteredConflicts(b *testing.B) { benchFamily(b, "B10", 1) }
 
-// BenchmarkB12LargeUniverse measures the repair+answer hot path over a
-// 10^5-fact universe (workload.LargeUniverse): a selective query on the
+// BenchmarkB12LargeUniverse measures the repair+answer hot path over
+// large universes (workload.LargeUniverse): a selective query on the
 // conflicted core relation, answered through the conflict-localized
-// repair engine over the full (unsliced) instance. Run with -benchmem:
-// the allocs/op figure is the columnar-memory-plane acceptance metric —
-// per-candidate instance clones dominate, so storage that clones by
-// copy-on-write segment sharing instead of per-tuple map copying drops
-// it by orders of magnitude.
-func BenchmarkB12LargeUniverse(b *testing.B) {
-	s := workload.LargeUniverse(100000, 4, 4, 2500, 1)
-	p, _ := s.Peer("P0")
-	deps := p.DECs["PK"]
-	inst := s.Global()
-	q := foquery.MustParse("q0(c0,Y)")
-	vars := []string{"Y"}
-	b.Run("repair-answer", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := repair.ConsistentAnswers(inst.Clone(), deps, q, vars, repair.Options{Parallelism: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("clone", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			inst.Clone()
-		}
-	})
-}
+// repair engine over the full (unsliced) instance, plus the instance
+// clone alone. The allocs/op figure is the columnar-memory-plane
+// acceptance metric: per-candidate instance clones dominate, so
+// storage that clones by copy-on-write segment sharing instead of
+// per-tuple map copying drops it by orders of magnitude.
+func BenchmarkB12LargeUniverse(b *testing.B) { benchFamily(b, "B12", 1) }

@@ -22,37 +22,28 @@ type churnDeployment struct {
 }
 
 func newChurnDeployment(k, clean int, seed int64, noIncremental bool) (*churnDeployment, error) {
-	sys := workload.ChurnUniverse(k, clean, seed)
-	ip := peernet.NewInProc()
-	nodes := map[core.PeerID]*peernet.Node{}
-	var started []*peernet.Node
-	stop := func() {
-		for _, n := range started {
-			n.Stop()
-		}
-	}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, ip, nil)
-		n.Parallelism = benchParallelism
-		if err := n.Start(":0"); err != nil {
-			stop()
-			return nil, err
-		}
-		started = append(started, n)
-		nodes[id] = n
-	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
+	nodes, stop, err := peernet.StartMesh(workload.ChurnUniverse(k, clean, seed), peernet.NewInProc(), benchParallelism)
+	if err != nil {
+		return nil, err
 	}
 	root := nodes["A"]
 	root.CacheTTL = time.Hour
 	root.NoIncremental = noIncremental
 	return &churnDeployment{nodes: nodes, root: root, stop: stop}, nil
+}
+
+// parseQueries parses each distinct query of a stream and returns the
+// first op of each query shape, in stream order.
+func parseQueries(stream []workload.StreamOp) (map[string]foquery.Formula, []workload.StreamOp) {
+	parsed := map[string]foquery.Formula{}
+	var shapes []workload.StreamOp
+	for _, op := range stream {
+		if !op.Write && parsed[op.Query] == nil {
+			parsed[op.Query] = foquery.MustParse(op.Query)
+			shapes = append(shapes, op)
+		}
+	}
+	return parsed, shapes
 }
 
 // replayChurn drives one write+query churn pass and returns the time
@@ -93,14 +84,7 @@ func replayChurn(d *churnDeployment, stream []workload.StreamOp, parsed map[stri
 func runB14(w io.Writer) error {
 	const k, clean, steps = 6, 200, 40
 	stream := workload.ChurnStream(k, steps, 3)
-	parsed := map[string]foquery.Formula{}
-	for _, op := range stream {
-		if !op.Write {
-			if _, ok := parsed[op.Query]; !ok {
-				parsed[op.Query] = foquery.MustParse(op.Query)
-			}
-		}
-	}
+	parsed, shapes := parseQueries(stream)
 	const target = 5.0
 	var incrTime, fullTime time.Duration
 	for attempt := 0; attempt < 3; attempt++ {
@@ -115,20 +99,8 @@ func runB14(w io.Writer) error {
 		}
 		// Warm both arms: the first query pays the full path on each
 		// (and seeds the incremental arm's series).
-		for text, f := range parsed {
-			var vars []string
-			for _, op := range stream {
-				if op.Query == text {
-					vars = op.Vars
-					break
-				}
-			}
-			if _, err := incr.root.AnswerQuery(f, vars, peernet.QueryOptions{}); err != nil {
-				incr.stop()
-				full.stop()
-				return err
-			}
-			if _, err := full.root.AnswerQuery(f, vars, peernet.QueryOptions{}); err != nil {
+		for _, d := range []*churnDeployment{incr, full} {
+			if _, _, err := replayChurn(d, shapes, parsed); err != nil {
 				incr.stop()
 				full.stop()
 				return err

@@ -1,9 +1,13 @@
 // Command p2pbench regenerates every experiment of the reproduction:
 // the fidelity experiments E1-E7 (each concrete artifact in the paper —
 // worked examples, programs, stable models) and the scaling/ablation
-// benchmarks B1-B8 (the paper has no empirical tables, so these measure
-// the complexity behaviour its Section 3.2 claims imply). EXPERIMENTS.md
-// records the expected output.
+// benchmarks B1-B14 (the paper has no empirical tables, so these
+// measure the complexity behaviour its Section 3.2 claims imply, and
+// the networked, serving and incremental layers built on it). Each
+// report prints its expected shape under the table; -list names the
+// experiments. The B-series fixtures and measured operations come from
+// the internal/benchcase table, which -gate and the root go test -bench
+// suite read too.
 //
 // Usage:
 //
@@ -55,8 +59,10 @@ var experiments = []experiment{
 }
 
 // benchParallelism is the worker-pool bound used by the parallel
-// variants inside B1 and B6 (engine fan-out, networked snapshot
-// fetch). Set by -parallelism; 0 means GOMAXPROCS.
+// variants of the report rows (engine fan-out in B1 and B5, networked
+// fan-out in B6, the node pools of B9, B11, B13 and B14). Set by
+// -parallelism; 0 means GOMAXPROCS. The gate ignores it and always
+// measures at Parallelism 1.
 var benchParallelism = 4
 
 func main() {
@@ -66,7 +72,7 @@ func main() {
 	fs.IntVar(&benchParallelism, "parallelism", benchParallelism,
 		"worker-pool bound for the parallel benchmark variants; 0 = GOMAXPROCS")
 	stats := fs.Bool("stats", false, "print fixture system statistics (peers, tuples, per-system interned symbols) and exit")
-	gateOut := fs.String("gate-out", "", "measure the benchmark gate (B5 grounding, B1 repair) and write the result JSON to this path")
+	gateOut := fs.String("gate-out", "", "measure the benchmark gate (the gated internal/benchcase cases) and write the result JSON to this path")
 	gateBase := fs.String("gate", "", "compare the gate measurement against this baseline JSON and exit non-zero on regression")
 	gateThreshold := fs.Float64("gate-threshold", 0.25, "allowed regression of the normalized gate metrics (0.25 = 25%)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run (experiments or gate) to this path")

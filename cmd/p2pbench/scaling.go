@@ -4,43 +4,77 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"runtime"
 	"time"
 
+	"repro/internal/benchcase"
 	"repro/internal/constraint"
 	"repro/internal/core"
 	"repro/internal/foquery"
-	"repro/internal/lp"
 	"repro/internal/lp/ground"
-	"repro/internal/lp/solve"
 	"repro/internal/parallel"
 	"repro/internal/peernet"
 	"repro/internal/program"
 	"repro/internal/relation"
-	"repro/internal/repair"
-	"repro/internal/rewrite"
 	"repro/internal/workload"
 )
 
-func timed(f func() error) (time.Duration, error) {
+// timedAnswers times one answering call.
+func timedAnswers(f func() ([]relation.Tuple, error)) ([]relation.Tuple, time.Duration, error) {
 	start := time.Now()
-	err := f()
-	return time.Since(start), err
+	ans, err := f()
+	return ans, time.Since(start), err
 }
 
-// timedAllocs is timed plus the run's heap allocation count (Mallocs
-// delta). A GC runs first so the measured path pays only for its own
-// garbage.
-func timedAllocs(f func() error) (time.Duration, int64, error) {
-	var ms runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	startMallocs := ms.Mallocs
-	start := time.Now()
-	err := f()
-	d := time.Since(start)
-	runtime.ReadMemStats(&ms)
-	return d, int64(ms.Mallocs - startMallocs), err
+// caseAt names a benchcase case and the parallelism to set it up at.
+type caseAt struct {
+	name string
+	par  int
+}
+
+// caseRun is one timed run of a case's op: its result, duration and
+// heap allocation count.
+type caseRun struct {
+	res    any
+	d      time.Duration
+	allocs int64
+}
+
+// runCases sets up each case in turn, times one run of its op (a GC
+// runs first, see minOver) and tears the fixture down before the next.
+func runCases(cases ...caseAt) ([]caseRun, error) {
+	runs := make([]caseRun, 0, len(cases))
+	for _, at := range cases {
+		r, err := runCase(at)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, r)
+	}
+	return runs, nil
+}
+
+func runCase(at caseAt) (caseRun, error) {
+	for _, c := range benchcase.Cases {
+		if c.Name != at.name {
+			continue
+		}
+		op, done, err := c.Setup(at.par)
+		if err != nil {
+			return caseRun{}, fmt.Errorf("%s: %w", at.name, err)
+		}
+		defer done()
+		var r caseRun
+		r.d, r.allocs, err = minOver(1, 1, func() error {
+			var e error
+			r.res, e = op()
+			return e
+		})
+		if err != nil {
+			return caseRun{}, fmt.Errorf("%s: %w", at.name, err)
+		}
+		return r, nil
+	}
+	return caseRun{}, fmt.Errorf("p2pbench: no benchmark case %s", at.name)
 }
 
 // runB1 measures PCA latency vs instance size for the three engines on
@@ -48,47 +82,20 @@ func timedAllocs(f func() error) (time.Duration, int64, error) {
 // repair-par column runs the repair engine with the -parallelism
 // worker pool (results are checked identical to the sequential run).
 func runB1(w io.Writer) error {
-	par := benchParallelism
 	fmt.Fprintf(w, "%-8s %-12s %-12s %-12s %-12s\n", "facts", "rewrite", "lp", "repair", "repair-par")
 	for _, n := range []int{5, 10, 20, 40} {
-		s := workload.Example1Shaped(n, 3, 2, 1)
-		q := foquery.MustParse("r1(X,Y)")
-		dRW, err := timed(func() error {
-			_, e := rewrite.PCAByRewriting(s, "P1", "r1", []string{"X", "Y"}, rewrite.Options{})
-			return e
-		})
+		r, err := runCases(
+			caseAt{fmt.Sprintf("B1/rewrite/n=%d", n), 0},
+			caseAt{fmt.Sprintf("B1/lp/n=%d", n), 0},
+			caseAt{fmt.Sprintf("B1/repair/n=%d", n), 1},
+			caseAt{fmt.Sprintf("B1/repair/n=%d", n), benchParallelism})
 		if err != nil {
 			return err
 		}
-		dLP, err := timed(func() error {
-			_, e := program.PeerConsistentAnswersViaLP(s, "P1", q, []string{"X", "Y"}, program.RunOptions{})
-			return e
-		})
-		if err != nil {
-			return err
+		if !reflect.DeepEqual(r[3].res, r[2].res) {
+			return fmt.Errorf("parallel repair disagrees at n=%d: %v vs %v", n, r[3].res, r[2].res)
 		}
-		var seq []relation.Tuple
-		dRep, err := timed(func() error {
-			var e error
-			seq, e = core.PeerConsistentAnswers(s, "P1", q, []string{"X", "Y"}, core.SolveOptions{Parallelism: 1})
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		var parAns []relation.Tuple
-		dPar, err := timed(func() error {
-			var e error
-			parAns, e = core.PeerConsistentAnswers(s, "P1", q, []string{"X", "Y"}, core.SolveOptions{Parallelism: par})
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(parAns, seq) {
-			return fmt.Errorf("parallel repair disagrees at n=%d: %v vs %v", n, parAns, seq)
-		}
-		fmt.Fprintf(w, "%-8d %-12v %-12v %-12v %-12v\n", n, dRW, dLP, dRep, dPar)
+		fmt.Fprintf(w, "%-8d %-12v %-12v %-12v %-12v\n", n, r[0].d, r[1].d, r[2].d, r[3].d)
 	}
 	fmt.Fprintf(w, "expected shape: rewriting polynomial and fastest as n grows;\n")
 	fmt.Fprintf(w, "repair enumeration dominated by the number of solutions, not n;\n")
@@ -100,29 +107,14 @@ func runB1(w io.Writer) error {
 func runB2(w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %-10s %-10s %-12s %-12s\n", "conflicts", "expected", "solutions", "lp-time", "repair-time")
 	for _, k := range []int{1, 2, 3, 4, 5} {
-		s := workload.IndependentConflicts(k)
-		var nLP int
-		dLP, err := timed(func() error {
-			sols, e := program.SolutionsViaLP(s, "A", program.RunOptions{})
-			nLP = len(sols)
-			return e
-		})
+		r, err := runCases(caseAt{fmt.Sprintf("B2/lp/k=%d", k), 0}, caseAt{fmt.Sprintf("B2/repair/k=%d", k), 0})
 		if err != nil {
 			return err
 		}
-		var nRep int
-		dRep, err := timed(func() error {
-			sols, e := core.SolutionsFor(s, "A", core.SolveOptions{})
-			nRep = len(sols)
-			return e
-		})
-		if err != nil {
-			return err
+		if r[0].res != r[1].res {
+			return fmt.Errorf("engines disagree at k=%d: %v vs %v", k, r[0].res, r[1].res)
 		}
-		if nLP != nRep {
-			return fmt.Errorf("engines disagree at k=%d: %d vs %d", k, nLP, nRep)
-		}
-		fmt.Fprintf(w, "%-10d %-10d %-10d %-12v %-12v\n", k, 1<<k, nLP, dLP, dRep)
+		fmt.Fprintf(w, "%-10d %-10d %-10v %-12v %-12v\n", k, 1<<k, r[0].res, r[0].d, r[1].d)
 	}
 	fmt.Fprintf(w, "expected shape: solutions double per conflict (Pi^p_2 blow-up).\n")
 	return nil
@@ -133,30 +125,14 @@ func runB2(w io.Writer) error {
 func runB3(w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %-12s %-12s %-12s\n", "conflicts", "rewrite", "lp", "repair")
 	for _, k := range []int{1, 2, 3, 4} {
-		s := workload.Example1Shaped(10, 2, k, 1)
-		q := foquery.MustParse("r1(X,Y)")
-		dRW, err := timed(func() error {
-			_, e := rewrite.PCAByRewriting(s, "P1", "r1", []string{"X", "Y"}, rewrite.Options{})
-			return e
-		})
+		r, err := runCases(
+			caseAt{fmt.Sprintf("B3/rewrite/k=%d", k), 0},
+			caseAt{fmt.Sprintf("B3/lp/k=%d", k), 0},
+			caseAt{fmt.Sprintf("B3/repair/k=%d", k), 0})
 		if err != nil {
 			return err
 		}
-		dLP, err := timed(func() error {
-			_, e := program.PeerConsistentAnswersViaLP(s, "P1", q, []string{"X", "Y"}, program.RunOptions{})
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		dRep, err := timed(func() error {
-			_, e := core.PeerConsistentAnswers(s, "P1", q, []string{"X", "Y"}, core.SolveOptions{})
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-10d %-12v %-12v %-12v\n", k, dRW, dLP, dRep)
+		fmt.Fprintf(w, "%-10d %-12v %-12v %-12v\n", k, r[0].d, r[1].d, r[2].d)
 	}
 	fmt.Fprintf(w, "expected shape: rewrite flat in k; lp and repair grow with 2^k.\n")
 	return nil
@@ -167,48 +143,14 @@ func runB3(w io.Writer) error {
 func runB4(w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %-14s %-14s %-8s\n", "conflicts", "disjunctive", "shifted", "models")
 	for _, k := range []int{2, 4, 6} {
-		s := workload.IndependentConflicts(k)
-		prog, _, err := program.BuildDirect(s, "A")
+		r, err := runCases(caseAt{fmt.Sprintf("B4/disjunctive/k=%d", k), 0}, caseAt{fmt.Sprintf("B4/shifted/k=%d", k), 0})
 		if err != nil {
 			return err
 		}
-		unfolded, err := lp.UnfoldChoice(prog)
-		if err != nil {
-			return err
+		if r[0].res != r[1].res {
+			return fmt.Errorf("shift changed model count at k=%d: %v vs %v", k, r[0].res, r[1].res)
 		}
-		g, err := ground.Ground(unfolded)
-		if err != nil {
-			return err
-		}
-		if !solve.HCF(g) {
-			return fmt.Errorf("expected HCF program at k=%d", k)
-		}
-		var nPlain int
-		dPlain, err := timed(func() error {
-			ms, e := solve.StableModels(g, solve.Options{})
-			nPlain = len(ms)
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		sh, err := solve.Shift(g)
-		if err != nil {
-			return err
-		}
-		var nShift int
-		dShift, err := timed(func() error {
-			ms, e := solve.StableModels(sh, solve.Options{})
-			nShift = len(ms)
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		if nPlain != nShift {
-			return fmt.Errorf("shift changed model count at k=%d: %d vs %d", k, nPlain, nShift)
-		}
-		fmt.Fprintf(w, "%-10d %-14v %-14v %-8d\n", k, dPlain, dShift, nPlain)
+		fmt.Fprintf(w, "%-10d %-14v %-14v %-8v\n", k, r[0].d, r[1].d, r[0].res)
 	}
 	fmt.Fprintf(w, "expected shape: shifted never slower (avoids minimality search).\n")
 	return nil
@@ -221,40 +163,19 @@ func runB4(w io.Writer) error {
 func runB5(w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %-12s %-12s %-10s %-10s\n", "satisfied", "ground-seq", "ground-par", "atoms", "rules")
 	for _, n := range []int{10, 25, 50, 100} {
-		s := workload.ReferentialShaped(1, 2, n, 1)
-		prog, _, err := program.BuildDirect(s, "P")
+		// parallel.Workers resolves 0 to GOMAXPROCS, keeping the flag's
+		// "0 = GOMAXPROCS" meaning for this column too (ground.Options
+		// itself treats <=1 as sequential).
+		name := fmt.Sprintf("B5/facts=%d", n)
+		r, err := runCases(caseAt{name, 1}, caseAt{name, parallel.Workers(benchParallelism)})
 		if err != nil {
 			return err
 		}
-		unfolded, err := lp.UnfoldChoice(prog)
-		if err != nil {
-			return err
-		}
-		var g *ground.Program
-		d, err := timed(func() error {
-			var e error
-			g, e = ground.Ground(unfolded)
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		var gp *ground.Program
-		dPar, err := timed(func() error {
-			var e error
-			// parallel.Workers resolves 0 to GOMAXPROCS, keeping the
-			// flag's "0 = GOMAXPROCS" meaning for this column too
-			// (ground.Options itself treats <=1 as sequential).
-			gp, e = ground.GroundOpt(unfolded, ground.Options{Parallelism: parallel.Workers(benchParallelism)})
-			return e
-		})
-		if err != nil {
-			return err
-		}
+		g, gp := r[0].res.(*ground.Program), r[1].res.(*ground.Program)
 		if gp.String() != g.String() || !reflect.DeepEqual(gp.Atoms, g.Atoms) {
 			return fmt.Errorf("parallel grounding diverged at n=%d", n)
 		}
-		fmt.Fprintf(w, "%-10d %-12v %-12v %-10d %-10d\n", n, d, dPar, len(g.Atoms), len(g.Rules))
+		fmt.Fprintf(w, "%-10d %-12v %-12v %-10d %-10d\n", n, r[0].d, r[1].d, len(g.Atoms), len(g.Rules))
 	}
 	fmt.Fprintf(w, "expected shape: near-linear in the relevant instantiations;\n")
 	fmt.Fprintf(w, "ground-par tracks ground-seq/min(cores, rules) on multi-core.\n")
@@ -266,69 +187,23 @@ func runB5(w io.Writer) error {
 // caches (cached).
 func runB6(w io.Writer) error {
 	fmt.Fprintf(w, "%-20s %-14s\n", "transport", "pca-time")
-	for _, cfg := range []struct {
-		name        string
-		latency     time.Duration
-		tcp         bool
-		parallelism int
-		cacheTTL    time.Duration
+	for _, row := range []struct {
+		label string
+		caseAt
 	}{
-		{"inproc(0ms)", 0, false, 1, 0},
-		{"inproc(1ms)", time.Millisecond, false, 1, 0},
-		{"inproc(1ms,par)", time.Millisecond, false, benchParallelism, 0},
-		{"inproc(1ms,cached)", time.Millisecond, false, 1, time.Minute},
-		{"inproc(5ms)", 5 * time.Millisecond, false, 1, 0},
-		{"inproc(5ms,par)", 5 * time.Millisecond, false, benchParallelism, 0},
-		{"tcp(loopback)", 0, true, 1, 0},
+		{"inproc(0ms)", caseAt{"B6/latency=0", 1}},
+		{"inproc(1ms)", caseAt{"B6/latency=1ms", 1}},
+		{"inproc(1ms,par)", caseAt{"B6/latency=1ms", benchParallelism}},
+		{"inproc(1ms,cached)", caseAt{"B6/latency=1ms/cached", 1}},
+		{"inproc(5ms)", caseAt{"B6/latency=5ms", 1}},
+		{"inproc(5ms,par)", caseAt{"B6/latency=5ms", benchParallelism}},
+		{"tcp(loopback)", caseAt{"B6/tcp", 1}},
 	} {
-		sys := core.Example1System()
-		var tr peernet.Transport
-		if cfg.tcp {
-			tr = &peernet.TCP{}
-		} else {
-			ip := peernet.NewInProc()
-			ip.Latency = cfg.latency
-			tr = ip
-		}
-		nodes := map[core.PeerID]*peernet.Node{}
-		for _, id := range sys.Peers() {
-			p, _ := sys.Peer(id)
-			n := peernet.NewNode(p, tr, nil)
-			n.Parallelism = cfg.parallelism
-			n.CacheTTL = cfg.cacheTTL
-			if err := n.Start(":0"); err != nil {
-				return err
-			}
-			defer n.Stop()
-			nodes[id] = n
-		}
-		for _, n := range nodes {
-			for _, m := range nodes {
-				if n != m {
-					n.SetNeighbor(m.Peer.ID, m.Addr)
-				}
-			}
-		}
-		if cfg.cacheTTL > 0 {
-			// Warm the spec and relation caches; the timed run makes no
-			// remote call.
-			if _, err := nodes["P1"].Snapshot(false); err != nil {
-				return err
-			}
-		}
-		var got []relation.Tuple
-		d, err := timed(func() error {
-			var e error
-			got, e = nodes["P1"].PeerConsistentAnswers(foquery.MustParse("r1(X,Y)"), []string{"X", "Y"}, false)
-			return e
-		})
+		r, err := runCases(row.caseAt)
 		if err != nil {
 			return err
 		}
-		if len(got) != 3 {
-			return fmt.Errorf("networked PCA wrong: %v", got)
-		}
-		fmt.Fprintf(w, "%-20s %-14v\n", cfg.name, d)
+		fmt.Fprintf(w, "%-20s %-14v\n", row.label, r[0].d)
 	}
 	fmt.Fprintf(w, "expected shape: per-neighbour fetch cost = 2 round trips (spec, then batch),\n")
 	fmt.Fprintf(w, "overlapped across neighbours by par and amortized to ~0 by cached.\n")
@@ -373,40 +248,14 @@ func runB7(w io.Writer) error {
 func runB8(w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %-14s %-14s\n", "conflicts", "with-support", "without")
 	for _, k := range []int{2, 4, 6} {
-		s := workload.IndependentConflicts(k)
-		prog, _, err := program.BuildDirect(s, "A")
+		r, err := runCases(caseAt{fmt.Sprintf("B8/with/k=%d", k), 0}, caseAt{fmt.Sprintf("B8/without/k=%d", k), 0})
 		if err != nil {
 			return err
 		}
-		unfolded, err := lp.UnfoldChoice(prog)
-		if err != nil {
-			return err
-		}
-		g, err := ground.Ground(unfolded)
-		if err != nil {
-			return err
-		}
-		var nWith, nWithout int
-		dWith, err := timed(func() error {
-			ms, e := solve.StableModels(g, solve.Options{})
-			nWith = len(ms)
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		dWithout, err := timed(func() error {
-			ms, e := solve.StableModels(g, solve.Options{NoSupportPropagation: true})
-			nWithout = len(ms)
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		if nWith != nWithout {
+		if r[0].res != r[1].res {
 			return fmt.Errorf("ablation changed models at k=%d", k)
 		}
-		fmt.Fprintf(w, "%-10d %-14v %-14v\n", k, dWith, dWithout)
+		fmt.Fprintf(w, "%-10d %-14v %-14v\n", k, r[0].d, r[1].d)
 	}
 	fmt.Fprintf(w, "expected shape: identical models; support propagation prunes search.\n")
 	return nil
@@ -424,26 +273,13 @@ func runB9(w io.Writer) error {
 	sys := workload.WideUniverse(width, relsPer, facts, conflicts, 1)
 	ip := peernet.NewInProc()
 	ip.Latency = 200 * time.Microsecond
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, ip, nil)
-		n.Parallelism = benchParallelism
-		n.CacheTTL = time.Minute
-		if err := n.Start(":0"); err != nil {
-			return err
-		}
-		defer n.Stop()
-		nodes[id] = n
+	nodes, stop, err := peernet.StartMesh(sys, ip, benchParallelism)
+	if err != nil {
+		return err
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
+	defer stop()
 	root := nodes["P0"]
+	root.CacheTTL = time.Minute
 	q := foquery.MustParse("q0(X,Y)")
 	vars := []string{"X", "Y"}
 
@@ -465,20 +301,13 @@ func runB9(w io.Writer) error {
 
 	// Sliced first: the full snapshot fills the same spec and relation
 	// caches, so timing it first would make the "cold" row warm.
-	var slicedAns []relation.Tuple
-	dSliced, err := timed(func() error {
-		var e error
-		slicedAns, e = root.PeerConsistentAnswersFor(q, vars, false)
-		return e
-	})
+	sliced := func() ([]relation.Tuple, error) { return root.PeerConsistentAnswersFor(q, vars, false) }
+	slicedAns, dSliced, err := timedAnswers(sliced)
 	if err != nil {
 		return err
 	}
-	var full []relation.Tuple
-	dFull, err := timed(func() error {
-		var e error
-		full, e = root.PeerConsistentAnswers(q, vars, false)
-		return e
+	full, dFull, err := timedAnswers(func() ([]relation.Tuple, error) {
+		return root.PeerConsistentAnswers(q, vars, false)
 	})
 	if err != nil {
 		return err
@@ -486,11 +315,7 @@ func runB9(w io.Writer) error {
 	if !reflect.DeepEqual(slicedAns, full) {
 		return fmt.Errorf("sliced answers diverge: %v vs %v", slicedAns, full)
 	}
-	dRepeat, err := timed(func() error {
-		var e error
-		slicedAns, e = root.PeerConsistentAnswersFor(q, vars, false)
-		return e
-	})
+	_, dRepeat, err := timedAnswers(sliced)
 	if err != nil {
 		return err
 	}
@@ -499,11 +324,7 @@ func runB9(w io.Writer) error {
 	// relevant relations.
 	bp, _ := sys.Peer(core.PeerID(fmt.Sprintf("B%d", width-1)))
 	bp.Fact(fmt.Sprintf("b%d_r%d", width-1, relsPer-1), "late_key", "late_val")
-	dAfterUpd, err := timed(func() error {
-		var e error
-		slicedAns, e = root.PeerConsistentAnswersFor(q, vars, false)
-		return e
-	})
+	slicedAns, dAfterUpd, err := timedAnswers(sliced)
 	if err != nil {
 		return err
 	}
@@ -526,70 +347,34 @@ func runB9(w io.Writer) error {
 	return nil
 }
 
-// runB10 measures conflict-localized repair (ISSUE 5) on the
-// scattered-conflict workload: k independent EGD conflicts on k
-// disjoint relation pairs. The global wave search re-checks the whole
-// database at each of its ~2^k states and intersects answers over the
-// materialized 2^k repairs; the localized engine decomposes the
-// conflict graph into k trivial components, searches each with
-// incremental violation checking, and answers the (single-relation)
-// query from the one component it touches — never materializing the
-// cross-product.
+// runB10 measures conflict-localized repair on the scattered-conflict
+// workload: k independent EGD conflicts on k disjoint relation pairs.
+// The global wave search re-checks the whole database at each of its
+// ~2^k states and intersects answers over the materialized 2^k
+// repairs; the localized engine decomposes the conflict graph into k
+// trivial components, searches each with incremental violation
+// checking, and answers the (single-relation) query from the one
+// component it touches — never materializing the cross-product.
 func runB10(w io.Writer) error {
 	fmt.Fprintf(w, "%-6s %-14s %-14s %-10s %-14s %-14s\n",
 		"k", "cqa-global", "cqa-localized", "speedup", "solve-global", "solve-localized")
 	for _, k := range []int{4, 8, 10} {
-		s := workload.ScatteredConflicts(k, 20, 1)
-		p, _ := s.Peer("A")
-		deps := p.DECs["B"]
-		inst := s.Global()
-		q := foquery.MustParse("ra0(X,Y)")
-		vars := []string{"X", "Y"}
-
-		var ansG []relation.Tuple
-		dCqaG, err := timed(func() error {
-			var e error
-			ansG, e = repair.ConsistentAnswers(inst.Clone(), deps, q, vars, repair.Options{NoLocalize: true, Parallelism: 1})
-			return e
-		})
+		r, err := runCases(
+			caseAt{fmt.Sprintf("B10/cqa-global/k=%d", k), 1},
+			caseAt{fmt.Sprintf("B10/cqa-localized/k=%d", k), 1},
+			caseAt{fmt.Sprintf("B10/solve-global/k=%d", k), 1},
+			caseAt{fmt.Sprintf("B10/solve-localized/k=%d", k), 1})
 		if err != nil {
 			return err
 		}
-		var ansL []relation.Tuple
-		dCqaL, err := timed(func() error {
-			var e error
-			ansL, e = repair.ConsistentAnswers(inst.Clone(), deps, q, vars, repair.Options{Parallelism: 1})
-			return e
-		})
-		if err != nil {
-			return err
+		if !reflect.DeepEqual(r[1].res, r[0].res) {
+			return fmt.Errorf("localized CQA diverges at k=%d: %v vs %v", k, r[1].res, r[0].res)
 		}
-		if !reflect.DeepEqual(ansL, ansG) {
-			return fmt.Errorf("localized CQA diverges at k=%d: %v vs %v", k, ansL, ansG)
-		}
-
-		var solsG, solsL []*relation.Instance
-		dSolG, err := timed(func() error {
-			var e error
-			solsG, e = core.SolutionsFor(s, "A", core.SolveOptions{NoLocalize: true, Parallelism: 1})
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		dSolL, err := timed(func() error {
-			var e error
-			solsL, e = core.SolutionsFor(s, "A", core.SolveOptions{Parallelism: 1})
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		if !sameKeys(solsL, solsG) {
+		if !sameKeys(r[3].res.([]*relation.Instance), r[2].res.([]*relation.Instance)) {
 			return fmt.Errorf("localized solutions diverge at k=%d", k)
 		}
 		fmt.Fprintf(w, "%-6d %-14v %-14v %-10s %-14v %-14v\n",
-			k, dCqaG, dCqaL, fmt.Sprintf("%.1fx", float64(dCqaG)/float64(dCqaL)), dSolG, dSolL)
+			k, r[0].d, r[1].d, fmt.Sprintf("%.1fx", float64(r[0].d)/float64(r[1].d)), r[2].d, r[3].d)
 	}
 	fmt.Fprintf(w, "expected shape: global CQA grows with 2^k (repair enumeration +\n")
 	fmt.Fprintf(w, "per-repair query evaluation); localized CQA grows with k (component\n")
@@ -675,25 +460,20 @@ func runB11(w io.Writer) error {
 		}
 		root, meter := nodes["P0"], meters["P0"]
 
-		var central []relation.Tuple
 		meter.Reset()
-		dCentral, err := timed(func() error {
-			var e error
-			central, e = root.PeerConsistentAnswersFor(q, vars, true)
-			return e
+		central, dCentral, err := timedAnswers(func() ([]relation.Tuple, error) {
+			return root.PeerConsistentAnswersFor(q, vars, true)
 		})
 		if err != nil {
 			return err
 		}
 		cCalls, _, cRecv := meter.Stats()
 
-		var deleg []relation.Tuple
 		var info peernet.DelegationInfo
 		meter.Reset()
-		dDeleg, err := timed(func() error {
-			var e error
-			deleg, info, e = root.DelegatedAnswersInfo(q, vars, true)
-			return e
+		deleg, dDeleg, err := timedAnswers(func() (ans []relation.Tuple, err error) {
+			ans, info, err = root.DelegatedAnswersInfo(q, vars, true)
+			return ans, err
 		})
 		if err != nil {
 			return err
@@ -731,33 +511,16 @@ func runB11(w io.Writer) error {
 // bitsets over dense fact ids instead of rendered-string maps (the
 // map-backed plane spent ~100 allocations per tuple here).
 func runB12(w io.Writer) error {
-	q := foquery.MustParse("q0(c0,Y)")
-	vars := []string{"Y"}
 	fmt.Fprintf(w, "%-10s %-12s %-14s %-14s %-12s\n",
 		"facts", "clone", "repair+answer", "allocs/run", "answers")
 	for _, n := range []int{20000, 50000, 100000} {
-		s := workload.LargeUniverse(n, 4, 4, n/40, 1)
-		p, _ := s.Peer("P0")
-		deps := p.DECs["PK"]
-		inst := s.Global()
-
-		dClone, err := timed(func() error {
-			inst.Clone()
-			return nil
-		})
+		r, err := runCases(
+			caseAt{fmt.Sprintf("B12/clone/facts=%d", n), 1},
+			caseAt{fmt.Sprintf("B12/repair-answer/facts=%d", n), 1})
 		if err != nil {
 			return err
 		}
-		var ans []relation.Tuple
-		dAns, allocs, err := timedAllocs(func() error {
-			var e error
-			ans, e = repair.ConsistentAnswers(inst.Clone(), deps, q, vars, repair.Options{Parallelism: 1})
-			return e
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-10d %-12v %-14v %-14d %-12d\n", n, dClone, dAns, allocs, len(ans))
+		fmt.Fprintf(w, "%-10d %-12v %-14v %-14d %-12d\n", n, r[0].d, r[1].d, r[1].allocs, len(r[1].res.([]relation.Tuple)))
 	}
 	fmt.Fprintf(w, "expected shape: clone stays flat (COW segment sharing, no per-tuple\n")
 	fmt.Fprintf(w, "copying); allocs/run is the cold view/index build — a few allocations\n")

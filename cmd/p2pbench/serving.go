@@ -29,24 +29,11 @@ func runB13(w io.Writer) error {
 	sys := workload.WideUniverse(width, relsPer, facts, conflicts, 1)
 	ip := peernet.NewInProc()
 	ip.Latency = 100 * time.Microsecond
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, ip, nil)
-		n.Parallelism = benchParallelism
-		if err := n.Start(":0"); err != nil {
-			return err
-		}
-		defer n.Stop()
-		nodes[id] = n
+	nodes, stop, err := peernet.StartMesh(sys, ip, benchParallelism)
+	if err != nil {
+		return err
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
+	defer stop()
 	root := nodes["P0"]
 	root.CacheTTL = time.Minute
 	srv := serve.New(root, serve.Config{MaxConcurrent: clients, MaxQueue: 4 * clients})
@@ -83,14 +70,7 @@ func runB13(w io.Writer) error {
 	// Sustained mixed stream: concurrent clients drain a deterministic
 	// interleaved read/write schedule through the server.
 	stream := workload.MixedStream(width, relsPer, streamOps, writeEvery, 2)
-	parsed := map[string]foquery.Formula{}
-	for _, op := range stream {
-		if !op.Write {
-			if _, ok := parsed[op.Query]; !ok {
-				parsed[op.Query] = foquery.MustParse(op.Query)
-			}
-		}
-	}
+	parsed, shapes := parseQueries(stream)
 	var next atomic.Int64
 	errs := make(chan error, clients)
 	start := time.Now()
@@ -160,24 +140,17 @@ func runB13(w io.Writer) error {
 		}
 	}
 	fresh.Parallelism = benchParallelism
-	for text, f := range parsed {
-		var qvars []string
-		for _, op := range stream {
-			if op.Query == text {
-				qvars = op.Vars
-				break
-			}
-		}
-		served, err := srv.Answer(f, qvars, false)
+	for _, op := range shapes {
+		served, err := srv.Answer(parsed[op.Query], op.Vars, false)
 		if err != nil {
 			return err
 		}
-		oneShot, err := fresh.PeerConsistentAnswersFor(f, qvars, false)
+		oneShot, err := fresh.PeerConsistentAnswersFor(parsed[op.Query], op.Vars, false)
 		if err != nil {
 			return err
 		}
 		if !reflect.DeepEqual(served, oneShot) {
-			return fmt.Errorf("byte-identity: served %s = %v, one-shot = %v", text, served, oneShot)
+			return fmt.Errorf("byte-identity: served %s = %v, one-shot = %v", op.Query, served, oneShot)
 		}
 	}
 	fmt.Fprintf(w, "identity: %d query shapes byte-identical to one-shot uncached answering\n", len(parsed))

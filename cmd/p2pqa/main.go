@@ -289,25 +289,11 @@ func delegatedAnswers(sys *core.System, id core.PeerID, q foquery.Formula, vars 
 	if _, ok := sys.Peer(id); !ok {
 		return nil, peernet.DelegationInfo{}, fmt.Errorf("unknown peer %s", id)
 	}
-	tr := peernet.NewInProc()
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, pid := range sys.Peers() {
-		p, _ := sys.Peer(pid)
-		n := peernet.NewNode(p, tr, nil)
-		n.Parallelism = par
-		if err := n.Start(":0"); err != nil {
-			return nil, peernet.DelegationInfo{}, err
-		}
-		defer n.Stop()
-		nodes[pid] = n
+	nodes, stop, err := peernet.StartMesh(sys, peernet.NewInProc(), par)
+	if err != nil {
+		return nil, peernet.DelegationInfo{}, err
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-			}
-		}
-	}
+	defer stop()
 	return nodes[id].DelegatedAnswersInfo(q, vars, transitive)
 }
 

@@ -52,28 +52,12 @@ func runServe(sys *core.System, id core.PeerID, out io.Writer, p serveParams) er
 	if _, ok := sys.Peer(id); !ok {
 		return fmt.Errorf("unknown peer %s", id)
 	}
-	tr := peernet.NewInProc()
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, pid := range sys.Peers() {
-		peer, _ := sys.Peer(pid)
-		n := peernet.NewNode(peer, tr, nil)
-		n.Parallelism = p.parallelism
-		if pid == id {
-			n.CacheTTL = p.cacheTTL
-		}
-		if err := n.Start(":0"); err != nil {
-			return err
-		}
-		defer n.Stop()
-		nodes[pid] = n
+	nodes, stop, err := peernet.StartMesh(sys, peernet.NewInProc(), p.parallelism)
+	if err != nil {
+		return err
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-			}
-		}
-	}
+	defer stop()
+	nodes[id].CacheTTL = p.cacheTTL
 
 	srv := serve.New(nodes[id], serve.Config{
 		MaxConcurrent: p.maxConcurrent,

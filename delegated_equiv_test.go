@@ -1,4 +1,4 @@
-// Delegated-answering equivalence tests: DelegatedAnswers — the
+// Delegated-answering equivalence tests: DelegatedAnswersInfo — the
 // distributed execution path that fans atomic sub-queries out to the
 // owning peers over OpPCA and composes their answer sets — must return
 // byte-identical answers AND errors to the centralized sliced path
@@ -40,25 +40,11 @@ const (
 // transport at the given parallelism and returns the nodes.
 func startDelegationNetwork(t *testing.T, sys *core.System, par int) map[core.PeerID]*peernet.Node {
 	t.Helper()
-	tr := peernet.NewInProc()
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, tr, nil)
-		n.Parallelism = par
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
+	nodes, stop, err := peernet.StartMesh(sys, peernet.NewInProc(), par)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.BoundAddr())
-			}
-		}
-	}
+	t.Cleanup(stop)
 	return nodes
 }
 

@@ -15,9 +15,11 @@
 //
 // Command-line tools: cmd/p2pqa (query answering over system
 // descriptions), cmd/asp (the stable-model solver), cmd/p2pbench
-// (regenerates every experiment in EXPERIMENTS.md). Runnable examples
-// are under examples/. The root package holds the benchmark suite
-// (bench_test.go), one benchmark per experiment row.
+// (regenerates every experiment; `p2pbench -list` names them).
+// Runnable examples are under examples/. The root package holds the
+// benchmark suite (bench_test.go), one benchmark per experiment; the
+// B-series fixtures and operations live once in the internal/benchcase
+// table, which the suite, the p2pbench report rows and its -gate share.
 //
 // # Concurrency and caching
 //
@@ -184,7 +186,7 @@
 //
 // Centralized answering pulls every relevant peer's data to the
 // querying node and solves there — N peers as N data sources.
-// Node.DelegatedAnswers inverts that: slice.PlanDelegation decomposes
+// Node.DelegatedAnswersInfo inverts that: slice.PlanDelegation decomposes
 // the query's relevance slice per owning peer and classifies each
 // target of the root's DECs as a delegate (the target enforces DECs of
 // its own, so it must repair before answering), a fetch (data read
@@ -300,7 +302,11 @@
 // storage, byte-identical answers throughout. The bench gate
 // (cmd/p2pbench -gate) tracks allocs/op per benchmark block (gated,
 // machine-independent) and peak RSS (recorded); -cpuprofile /
-// -memprofile expose the profiles that guided the work.
+// -memprofile expose the profiles that guided the work. The gated
+// cases are the internal/benchcase entries with a Gate stem, and
+// BenchmarkGate runs the same cases under the standard tooling, e.g.
+//
+//	go test -run NONE -bench 'Gate/B5' -cpuprofile cpu.prof .
 //
 // # Serving plane
 //

@@ -395,20 +395,6 @@ func (d *Dependency) Satisfied(inst *relation.Instance) (bool, error) {
 	return sat, nil
 }
 
-// AllSatisfied reports whether the instance satisfies every dependency.
-func AllSatisfied(inst *relation.Instance, deps []*Dependency) (bool, error) {
-	for _, d := range deps {
-		ok, err := d.Satisfied(inst)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // AllViolations returns every violation of every dependency, in
 // dependency order and deterministic match order within a dependency.
 // It is the root pass of the conflict-localized repair engine: the

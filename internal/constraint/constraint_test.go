@@ -239,14 +239,14 @@ func TestFirstViolationDeterministic(t *testing.T) {
 func TestAllSatisfied(t *testing.T) {
 	in := example1()
 	deps := []*Dependency{Inclusion("i", "r2", "r1", 2), KeyEGD("k", "r1", "r3")}
-	ok, err := AllSatisfied(in, deps)
-	if err != nil || ok {
-		t.Fatalf("AllSatisfied = %v %v", ok, err)
+	v, err := FirstViolation(in, deps)
+	if err != nil || v == nil {
+		t.Fatalf("FirstViolation = %v %v, want a violation", v, err)
 	}
 	empty := relation.NewInstance()
-	ok, err = AllSatisfied(empty, deps)
-	if err != nil || !ok {
-		t.Fatalf("empty instance must satisfy: %v %v", ok, err)
+	v, err = FirstViolation(empty, deps)
+	if err != nil || v != nil {
+		t.Fatalf("empty instance must satisfy: %v %v", v, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -57,9 +58,31 @@ func TestValidateRejectsThirdPartyDEC(t *testing.T) {
 	}
 }
 
+// relevantSchema returns R̄(P) (Definition 3(a)): P's schema extended
+// with the other peers' schemas containing predicates in Σ(P).
+func (s *System) relevantSchema(id PeerID) (*relation.Schema, error) {
+	p, ok := s.peers[id]
+	if !ok {
+		return nil, fmt.Errorf("core: unknown peer %s", id)
+	}
+	out := p.Schema.Union(relation.NewSchema())
+	for _, deps := range p.DECs {
+		for _, d := range deps {
+			for pred := range d.Preds() {
+				owner := s.owner[pred]
+				if owner == "" {
+					return nil, fmt.Errorf("core: DEC %s mentions undeclared relation %s", d.Name, pred)
+				}
+				out = out.Union(s.peers[owner].Schema)
+			}
+		}
+	}
+	return out, nil
+}
+
 func TestRelevantSchema(t *testing.T) {
 	s := Example1System()
-	sch, err := s.RelevantSchema("P1")
+	sch, err := s.relevantSchema("P1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +91,7 @@ func TestRelevantSchema(t *testing.T) {
 			t.Fatalf("R̄(P1) missing %s", rel)
 		}
 	}
-	sch2, err := s.RelevantSchema("P2")
+	sch2, err := s.relevantSchema("P2")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,28 +270,6 @@ func (s *System) Validate() error {
 	return nil
 }
 
-// RelevantSchema returns R̄(P) (Definition 3(a)): P's schema extended
-// with the other peers' schemas containing predicates in Σ(P).
-func (s *System) RelevantSchema(id PeerID) (*relation.Schema, error) {
-	p, ok := s.peers[id]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown peer %s", id)
-	}
-	out := p.Schema.Union(relation.NewSchema())
-	for _, deps := range p.DECs {
-		for _, d := range deps {
-			for pred := range d.Preds() {
-				owner := s.owner[pred]
-				if owner == "" {
-					return nil, fmt.Errorf("core: DEC %s mentions undeclared relation %s", d.Name, pred)
-				}
-				out = out.Union(s.peers[owner].Schema)
-			}
-		}
-	}
-	return out, nil
-}
-
 // TrustedPeers returns the neighbours of P at the given level, sorted.
 func (s *System) TrustedPeers(id PeerID, lvl TrustLevel) []PeerID {
 	p, ok := s.peers[id]

@@ -359,7 +359,7 @@ func TestDelegateSideCoalescingIncr(t *testing.T) {
 			<-gate
 			n := nodes[core.PeerID(fmt.Sprintf("R%d", i%2))]
 			q := foquery.MustParse(fmt.Sprintf("r%d(X,Y)", i%2))
-			answers[i], errs[i] = n.DelegatedAnswers(q, []string{"X", "Y"}, true)
+			answers[i], _, errs[i] = n.DelegatedAnswersInfo(q, []string{"X", "Y"}, true)
 		}(i)
 	}
 	close(gate)

@@ -69,12 +69,6 @@ type Node struct {
 	// caches are only safe under concurrent *reads*.
 	dataMu sync.RWMutex
 
-	// delegated/delegFallbacks count DelegatedAnswers outcomes;
-	// lastFallback (under mu) records the most recent fallback reason.
-	delegated      int64
-	delegFallbacks int64
-	lastFallback   string
-
 	cacheMu sync.Mutex
 	// relGens advances per peer, so relation and spec cache entries of
 	// unrelated peers survive a neighbour update (relation-granular
@@ -743,13 +737,13 @@ func (n *Node) AnswerQuery(q foquery.Formula, vars []string, opt QueryOptions) (
 	return ans, nil
 }
 
-// DefaultHopBudget bounds the delegation depth of DelegatedAnswers:
+// DefaultHopBudget bounds the delegation depth of DelegatedAnswersInfo:
 // each delegated hop decrements the budget, and a peer receiving 0
 // answers centrally. Deep overlays beyond the budget still answer
 // correctly — the tail is just computed centrally by the last delegate.
 const DefaultHopBudget = 8
 
-// DelegationInfo reports how DelegatedAnswers answered one query.
+// DelegationInfo reports how DelegatedAnswersInfo answered one query.
 type DelegationInfo struct {
 	// Delegated is true when the delegated plan ran to completion;
 	// false means the centralized sliced path answered (Reason says
@@ -765,7 +759,7 @@ type DelegationInfo struct {
 	SubTuples   int
 }
 
-// DelegatedAnswers answers a query posed to this peer with the same
+// DelegatedAnswersInfo answers a query posed to this peer with the same
 // peer-consistent semantics as PeerConsistentAnswers(For), but through
 // delegated distributed execution when that is provably exact: the
 // query's relevance slice is decomposed per owning peer
@@ -782,35 +776,16 @@ type DelegationInfo struct {
 // remote call fails, a delegate is already on the delegation path
 // (cyclic overlay) or the composed solve errors, the node falls back to
 // the centralized sliced path — so answers and errors are byte-identical
-// to PeerConsistentAnswersFor in every case.
-func (n *Node) DelegatedAnswers(q foquery.Formula, vars []string, transitive bool) ([]relation.Tuple, error) {
-	ans, _, err := n.delegatedAnswers(q, vars, transitive, DefaultHopBudget, []string{string(n.Peer.ID)})
-	return ans, err
-}
-
-// DelegatedAnswersInfo is DelegatedAnswers with the delegation report.
+// to PeerConsistentAnswersFor in every case; the returned
+// DelegationInfo says which path answered and why.
 func (n *Node) DelegatedAnswersInfo(q foquery.Formula, vars []string, transitive bool) ([]relation.Tuple, DelegationInfo, error) {
 	return n.delegatedAnswers(q, vars, transitive, DefaultHopBudget, []string{string(n.Peer.ID)})
 }
 
-// DelegationStats reports how many DelegatedAnswers calls ran the
-// delegated plan vs fell back to the centralized path, and the most
-// recent fallback reason.
-func (n *Node) DelegationStats() (delegated, fallbacks int64, lastFallback string) {
-	n.mu.RLock()
-	last := n.lastFallback
-	n.mu.RUnlock()
-	return atomic.LoadInt64(&n.delegated), atomic.LoadInt64(&n.delegFallbacks), last
-}
-
-// delegatedAnswers implements DelegatedAnswers; budget and visited are
-// the cycle guards threaded through OpPCA requests.
+// delegatedAnswers implements DelegatedAnswersInfo; budget and visited
+// are the cycle guards threaded through OpPCA requests.
 func (n *Node) delegatedAnswers(q foquery.Formula, vars []string, transitive bool, budget int, visited []string) ([]relation.Tuple, DelegationInfo, error) {
 	fallback := func(reason string) ([]relation.Tuple, DelegationInfo, error) {
-		atomic.AddInt64(&n.delegFallbacks, 1)
-		n.mu.Lock()
-		n.lastFallback = reason
-		n.mu.Unlock()
 		ans, err := n.PeerConsistentAnswersFor(q, vars, transitive)
 		return ans, DelegationInfo{Reason: reason}, err
 	}
@@ -922,7 +897,6 @@ func (n *Node) delegatedAnswers(q foquery.Formula, vars []string, transitive boo
 		// back so the error is the centralized path's, byte for byte.
 		return fallback(fmt.Sprintf("composed solve failed: %v", err))
 	}
-	atomic.AddInt64(&n.delegated, 1)
 	info := DelegationInfo{
 		Delegated:   true,
 		Delegates:   plan.Delegates,

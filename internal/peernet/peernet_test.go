@@ -19,23 +19,11 @@ import (
 // transport and wires up the neighbour addresses.
 func startNetwork(t *testing.T, sys *core.System, tr Transport) map[core.PeerID]*Node {
 	t.Helper()
-	nodes := map[core.PeerID]*Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := NewNode(p, tr, nil)
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
+	nodes, stop, err := StartMesh(sys, tr, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
+	t.Cleanup(stop)
 	return nodes
 }
 

@@ -52,7 +52,7 @@ type Request struct {
 	// Transitive selects the Section 4.3 semantics for OpPCA.
 	Transitive bool
 	// Delegate asks OpPCA to answer through the delegated distributed
-	// path (Node.DelegatedAnswers): the remote peer decomposes its own
+	// path (Node.DelegatedAnswersInfo): the remote peer decomposes its own
 	// relevance slice per owning peer and fans the sub-queries out in
 	// turn, falling back to its centralized sliced path whenever
 	// delegation is not provably exact. Answers are identical either

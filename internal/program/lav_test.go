@@ -60,7 +60,7 @@ func TestLAVExample1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameInstances(want, FilterMinimal(s.Global(), sols)) {
+	if !sameInstances(want, filterMinimal(s.Global(), sols)) {
 		t.Fatalf("LAV solutions differ:\ncore: %v\nlav:  %v", instKeys(want), instKeys(sols))
 	}
 }
@@ -89,7 +89,7 @@ func TestLAVAgreesWithDirectRandom(t *testing.T) {
 			t.Fatalf("trial %d: lav: %v", trial, err)
 		}
 		g := s.Global()
-		if !sameInstances(FilterMinimal(g, direct), FilterMinimal(g, lav)) {
+		if !sameInstances(filterMinimal(g, direct), filterMinimal(g, lav)) {
 			t.Fatalf("trial %d: engines disagree on %s\ndirect: %v\nlav:    %v",
 				trial, g, instKeys(direct), instKeys(lav))
 		}

@@ -294,7 +294,7 @@ func TestRandomCrossValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: lp: %v", trial, err)
 		}
-		got := FilterMinimal(s.Global(), lpSols)
+		got := filterMinimal(s.Global(), lpSols)
 		if !sameInstances(want, got) {
 			t.Fatalf("trial %d: engines disagree on %s\ncore: %v\nlp:   %v",
 				trial, s.Global(), instKeys(want), instKeys(got))
@@ -337,7 +337,7 @@ func TestRandomCrossValidationReferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: lp: %v", trial, err)
 		}
-		got := FilterMinimal(s.Global(), lpSols)
+		got := filterMinimal(s.Global(), lpSols)
 		if !sameInstances(want, got) {
 			t.Fatalf("trial %d: engines disagree on %s\ncore: %v\nlp:   %v",
 				trial, s.Global(), instKeys(want), instKeys(got))

@@ -1112,15 +1112,6 @@ func SymDiff(r1, r2 *Instance) []Fact {
 	return out
 }
 
-// DeltaKeySet converts a delta into a set of fact keys, for ⊆ tests.
-func DeltaKeySet(delta []Fact) map[string]bool {
-	s := make(map[string]bool, len(delta))
-	for _, f := range delta {
-		s[f.Key()] = true
-	}
-	return s
-}
-
 // SubsetOf reports whether delta a is a subset of delta b (as fact
 // sets). Used for the ≤r minimality order of Definition 1(b).
 func SubsetOf(a, b map[string]bool) bool {
@@ -1133,43 +1124,4 @@ func SubsetOf(a, b map[string]bool) bool {
 		}
 	}
 	return true
-}
-
-// DeltaIDs interns the fact keys of a delta into tab and returns them
-// as a sorted id set: the interned form of DeltaKeySet, compared with
-// SubsetOfIDs merge walks instead of map probes. The LP minimality
-// filter keys its deltas this way; the repair search goes one step
-// further and stores them as bitset.Set over the same interned ids.
-func DeltaIDs(tab *symtab.Table, delta []Fact) []symtab.Sym {
-	ids := make([]symtab.Sym, len(delta))
-	for i, f := range delta {
-		ids[i] = tab.Intern(f.Key())
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// SubsetOfIDs reports a ⊆ b for sorted id sets via a single merge
-// walk.
-func SubsetOfIDs(a, b []symtab.Sym) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j == len(b) || b[j] != x {
-			return false
-		}
-		j++
-	}
-	return true
-}
-
-// PackIDKey renders a sorted id set as a compact map key (4 bytes per
-// id).
-func PackIDKey(ids []symtab.Sym) string {
-	return string(packIDs(nil, ids))
 }

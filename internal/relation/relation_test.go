@@ -123,7 +123,7 @@ func TestSymDiffExample1Distance(t *testing.T) {
 	if len(d) != 2 {
 		t.Fatalf("delta = %v", d)
 	}
-	keys := DeltaKeySet(d)
+	keys := deltaKeySet(d)
 	if !keys[Fact{"r1", Tuple{"a", "e"}}.Key()] || !keys[Fact{"r1", Tuple{"c", "d"}}.Key()] {
 		t.Fatalf("delta keys = %v", keys)
 	}
@@ -137,9 +137,18 @@ func TestSymDiffSymmetric(t *testing.T) {
 	if len(d1) != 2 || len(d2) != 2 {
 		t.Fatalf("d1=%v d2=%v", d1, d2)
 	}
-	if !SubsetOf(DeltaKeySet(d1), DeltaKeySet(d2)) || !SubsetOf(DeltaKeySet(d2), DeltaKeySet(d1)) {
+	if !SubsetOf(deltaKeySet(d1), deltaKeySet(d2)) || !SubsetOf(deltaKeySet(d2), deltaKeySet(d1)) {
 		t.Fatal("symmetric difference not symmetric")
 	}
+}
+
+// deltaKeySet converts a delta into a set of fact keys, for SubsetOf.
+func deltaKeySet(delta []Fact) map[string]bool {
+	s := make(map[string]bool, len(delta))
+	for _, f := range delta {
+		s[f.Key()] = true
+	}
+	return s
 }
 
 func TestSubsetOf(t *testing.T) {

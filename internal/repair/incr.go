@@ -384,10 +384,6 @@ func (st *IncrState) applyDelta(in *relation.Instance, delta bitset.Set) {
 	})
 }
 
-// CachedComponents reports the number of solved components currently
-// cached (observability for tests and the serving plane).
-func (st *IncrState) CachedComponents() int { return len(st.cache) }
-
 // DomainFreeQuery reports whether the query is in the domain-free
 // fragment (atoms, conjunction, disjunction) that Answers can serve;
 // callers can test it before building incremental state, since any

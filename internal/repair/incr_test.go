@@ -75,7 +75,7 @@ func TestIncrAnswersMatchesFullAcrossDeltas(t *testing.T) {
 
 	// Cold call seeds every component.
 	requireIncrMatchesFull(t, st, inst, nil, deps, q, vars, opt)
-	if got := st.CachedComponents(); got != k {
+	if got := len(st.cache); got != k {
 		t.Fatalf("cached components = %d, want %d", got, k)
 	}
 
@@ -236,15 +236,15 @@ func TestIncrStateResetRecovers(t *testing.T) {
 	q := mustParse(t, "r1(X,Y)")
 	vars := []string{"X", "Y"}
 	requireIncrMatchesFull(t, st, inst, nil, deps, q, vars, Options{})
-	if st.CachedComponents() == 0 {
+	if len(st.cache) == 0 {
 		t.Fatal("no components cached after a seeded answer")
 	}
 	st.reset()
-	if st.CachedComponents() != 0 {
-		t.Fatalf("reset left %d cached components", st.CachedComponents())
+	if len(st.cache) != 0 {
+		t.Fatalf("reset left %d cached components", len(st.cache))
 	}
 	requireIncrMatchesFull(t, st, inst, nil, deps, q, vars, Options{})
-	if st.CachedComponents() == 0 {
+	if len(st.cache) == 0 {
 		t.Fatal("no components re-cached after reset")
 	}
 }

@@ -77,7 +77,7 @@ func TestRepairsManyCandidates(t *testing.T) {
 		t.Fatalf("repairs = %d, want %d", len(reps), 1<<keys)
 	}
 	for _, r := range reps {
-		ok, cerr := constraint.AllSatisfied(r, deps)
+		ok, cerr := allSatisfied(r, deps)
 		if cerr != nil {
 			t.Fatal(cerr)
 		}

@@ -43,7 +43,7 @@ func TestRepairProperties(t *testing.T) {
 		}
 		deltas := make([]map[string]bool, len(reps))
 		for i, r := range reps {
-			ok, cerr := constraint.AllSatisfied(r, deps)
+			ok, cerr := allSatisfied(r, deps)
 			if cerr != nil || !ok {
 				t.Fatalf("trial %d: repair %v violates constraints (%v)\ninput %v", trial, r, cerr, in)
 			}
@@ -51,7 +51,7 @@ func TestRepairProperties(t *testing.T) {
 			if !r.RestrictRels(fixed).Equal(in.RestrictRels(fixed)) {
 				t.Fatalf("trial %d: fixed relation changed in %v", trial, r)
 			}
-			deltas[i] = relation.DeltaKeySet(relation.SymDiff(in, r))
+			deltas[i] = deltaKeySet(relation.SymDiff(in, r))
 		}
 		for i := range reps {
 			for j := range reps {
@@ -62,7 +62,7 @@ func TestRepairProperties(t *testing.T) {
 			}
 		}
 		// Consistent input: unique repair = input.
-		if ok, _ := constraint.AllSatisfied(in, deps); ok {
+		if ok, _ := allSatisfied(in, deps); ok {
 			if len(reps) != 1 || !reps[0].Equal(in) {
 				t.Fatalf("trial %d: consistent instance not its own repair: %v", trial, reps)
 			}
@@ -115,10 +115,10 @@ func bruteRepairs(in *relation.Instance, deps []*constraint.Dependency) []*relat
 				cand.Insert(f.Rel, f.Tuple)
 			}
 		}
-		ok, _ := constraint.AllSatisfied(cand, deps)
+		ok, _ := allSatisfied(cand, deps)
 		if ok {
 			consistent = append(consistent, cand)
-			deltas = append(deltas, relation.DeltaKeySet(relation.SymDiff(in, cand)))
+			deltas = append(deltas, deltaKeySet(relation.SymDiff(in, cand)))
 		}
 	}
 	var out []*relation.Instance
@@ -145,4 +145,20 @@ func allFacts(in *relation.Instance) []relation.Fact {
 		}
 	}
 	return out
+}
+
+// allSatisfied reports whether inst satisfies every dependency.
+func allSatisfied(inst *relation.Instance, deps []*constraint.Dependency) (bool, error) {
+	v, err := constraint.FirstViolation(inst, deps)
+	return v == nil && err == nil, err
+}
+
+// deltaKeySet converts a delta into a set of fact keys, for
+// relation.SubsetOf.
+func deltaKeySet(delta []relation.Fact) map[string]bool {
+	s := make(map[string]bool, len(delta))
+	for _, f := range delta {
+		s[f.Key()] = true
+	}
+	return s
 }

@@ -232,7 +232,7 @@ func TestRepairsAreConsistent(t *testing.T) {
 		t.Fatal("no repairs found")
 	}
 	for _, r := range reps {
-		ok, err := constraint.AllSatisfied(r, deps)
+		ok, err := allSatisfied(r, deps)
 		if err != nil || !ok {
 			t.Fatalf("repair %v does not satisfy constraints (%v)", r, err)
 		}

@@ -232,9 +232,6 @@ func (s *Server) Stop() bool {
 	}
 }
 
-// Stopping reports whether Stop has been called.
-func (s *Server) Stopping() bool { return atomic.LoadInt32(&s.stopping) != 0 }
-
 // Answer runs one peer-consistent query through admission, the node's
 // cache/coalescing path and the metrics layer. It returns ErrOverloaded
 // without touching the engines when the query is shed.
@@ -307,8 +304,8 @@ func httpError(w http.ResponseWriter, code int, err error) {
 //	GET  /metrics                                 -> text, one "name value" per line
 //	GET  /healthz                                 -> ok
 //
-// Shed queries answer 503 with Retry-After, malformed requests 400,
-// engine failures 500.
+// Shed queries (overloaded, or arriving after Stop) answer 503 with
+// Retry-After, malformed requests 400, engine failures 500.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
@@ -337,7 +334,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		ans, err := s.Answer(f, vars, transitive)
-		if errors.Is(err, ErrOverloaded) {
+		if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrStopping) {
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusServiceUnavailable, err)
 			return

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,23 +25,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *peernet.Node) {
 	t.Helper()
 	sys := core.Example1System()
 	tr := peernet.NewInProc()
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, tr, nil)
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
+	nodes, stop, err := peernet.StartMesh(sys, tr, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
+	t.Cleanup(stop)
 	served := nodes["P1"]
 	served.CacheTTL = time.Minute
 	return New(served, cfg), served
@@ -205,6 +194,28 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPStoppingSheds: a draining server sheds /query like an
+// overloaded one, 503 with Retry-After, not as an engine failure.
+func TestHTTPStoppingSheds(t *testing.T) {
+	srv, _ := newTestServer(t, Config{MaxConcurrent: 1})
+	if !srv.Stop() {
+		t.Fatal("Stop of an idle server reported a drain timeout")
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/query?" + url.Values{"q": {"r1(X,Y)"}, "vars": {"X,Y"}}.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status after Stop = %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 must carry Retry-After")
+	}
+}
+
 // TestShedDeterministic proves the admission bound without racing real
 // queries: with the pool slot taken by hand and no queue, Answer must
 // shed immediately, and the HTTP surface must translate that into 503 +
@@ -332,23 +343,11 @@ func TestStopDrainsQueuedIncr(t *testing.T) {
 	sys := core.Example1System()
 	tr := peernet.NewInProc()
 	tr.Latency = 20 * time.Millisecond // remote fan-out makes the first query slow
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, tr, nil)
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
+	nodes, stop, err := peernet.StartMesh(sys, tr, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
+	t.Cleanup(stop)
 	srv := New(nodes["P1"], Config{MaxConcurrent: 1, MaxQueue: 4, DrainTimeout: 5 * time.Second})
 
 	q := foquery.MustParse("r1(X,Y)")
@@ -381,8 +380,8 @@ func TestStopDrainsQueuedIncr(t *testing.T) {
 	if !srv.Stop() {
 		t.Fatal("Stop reported a drain timeout")
 	}
-	if !srv.Stopping() {
-		t.Fatal("Stopping() should report true after Stop")
+	if atomic.LoadInt32(&srv.stopping) == 0 {
+		t.Fatal("Stop should mark the server stopping")
 	}
 	for i := 0; i < 2; i++ {
 		r := <-results
@@ -406,23 +405,11 @@ func TestStopDrainTimeoutIncr(t *testing.T) {
 	sys := core.Example1System()
 	tr := peernet.NewInProc()
 	tr.Latency = 150 * time.Millisecond
-	nodes := map[core.PeerID]*peernet.Node{}
-	for _, id := range sys.Peers() {
-		p, _ := sys.Peer(id)
-		n := peernet.NewNode(p, tr, nil)
-		if err := n.Start(":0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(n.Stop)
-		nodes[id] = n
+	nodes, stop, err := peernet.StartMesh(sys, tr, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range nodes {
-		for _, m := range nodes {
-			if n != m {
-				n.SetNeighbor(m.Peer.ID, m.Addr)
-			}
-		}
-	}
+	t.Cleanup(stop)
 	srv := New(nodes["P1"], Config{MaxConcurrent: 1, DrainTimeout: 10 * time.Millisecond})
 	done := make(chan error, 1)
 	go func() {

@@ -7,7 +7,6 @@ package term
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/symtab"
@@ -257,49 +256,6 @@ func UnbindTrail(s Subst, trail []string, mark int) []string {
 	return trail[:mark]
 }
 
-// Unify extends s so that a and b become equal, binding variables on
-// either side. It reports success; on failure s may be partially
-// extended.
-func Unify(a, b Atom, s Subst) bool {
-	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
-		return false
-	}
-	for i := range a.Args {
-		x := s.Lookup(a.Args[i])
-		y := s.Lookup(b.Args[i])
-		switch {
-		case x.Equal(y):
-		case x.IsVar:
-			s[x.Name] = y
-		case y.IsVar:
-			s[y.Name] = x
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// RenameApart returns a copy of the atom with every variable renamed by
-// appending the given suffix; used to keep rule variables disjoint.
-func RenameApart(a Atom, suffix string) Atom {
-	out := Atom{Pred: a.Pred, Args: make([]Term, len(a.Args))}
-	for i, t := range a.Args {
-		if t.IsVar {
-			out.Args[i] = V(t.Name + suffix)
-		} else {
-			out.Args[i] = t
-		}
-	}
-	return out
-}
-
-// SortAtoms sorts atoms by their string rendering, for deterministic
-// output.
-func SortAtoms(atoms []Atom) {
-	sort.Slice(atoms, func(i, j int) bool { return atoms[i].String() < atoms[j].String() })
-}
-
 // Keyer interns canonical ground-atom keys into a symbol table, so hot
 // paths (grounding, model bookkeeping) can identify ground atoms by a
 // machine word instead of building and hashing the rendered string. The
@@ -380,17 +336,6 @@ func (k *Keyer) KeyIDSubst(a Atom, s Subst) (id symtab.Sym, ok bool) {
 func ConstArgs(dst []Term, vals []string) []Term {
 	for _, v := range vals {
 		dst = append(dst, Term{Name: v})
-	}
-	return dst
-}
-
-// ConstsIn appends all constant names occurring in the atom to dst,
-// without duplicates relative to dst.
-func ConstsIn(a Atom, dst []string) []string {
-	for _, t := range a.Args {
-		if !t.IsVar && !containsStr(dst, t.Name) {
-			dst = append(dst, t.Name)
-		}
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package term
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -117,7 +118,7 @@ func TestUnify(t *testing.T) {
 	s := NewSubst()
 	a := NewAtom("r", V("X"), C("b"))
 	b := NewAtom("r", C("a"), V("Y"))
-	if !Unify(a, b, s) {
+	if !unify(a, b, s) {
 		t.Fatal("unify failed")
 	}
 	if s.Lookup(V("X")).Name != "a" || s.Lookup(V("Y")).Name != "b" {
@@ -125,10 +126,10 @@ func TestUnify(t *testing.T) {
 	}
 	// Variable-variable chains.
 	s2 := NewSubst()
-	if !Unify(NewAtom("r", V("X")), NewAtom("r", V("Y")), s2) {
+	if !unify(NewAtom("r", V("X")), NewAtom("r", V("Y")), s2) {
 		t.Fatal("var-var unify failed")
 	}
-	if !Unify(NewAtom("r", V("Y")), NewAtom("r", C("c")), s2) {
+	if !unify(NewAtom("r", V("Y")), NewAtom("r", C("c")), s2) {
 		t.Fatal("chained unify failed")
 	}
 	if s2.Lookup(V("X")).Name != "c" {
@@ -160,7 +161,7 @@ func TestSubstBindConflict(t *testing.T) {
 
 func TestRenameApart(t *testing.T) {
 	a := NewAtom("r", V("X"), C("a"))
-	r := RenameApart(a, "_1")
+	r := renameApart(a, "_1")
 	if r.String() != "r(X_1,a)" {
 		t.Fatalf("RenameApart = %s", r)
 	}
@@ -171,7 +172,7 @@ func TestRenameApart(t *testing.T) {
 
 func TestConstsIn(t *testing.T) {
 	a := NewAtom("r", C("a"), V("X"), C("b"), C("a"))
-	cs := ConstsIn(a, nil)
+	cs := constsIn(a, nil)
 	if len(cs) != 2 || cs[0] != "a" || cs[1] != "b" {
 		t.Fatalf("ConstsIn = %v", cs)
 	}
@@ -201,8 +202,62 @@ func constName(b uint8) string { return string(rune('a' + int(b)%26)) }
 
 func TestSortAtomsDeterministic(t *testing.T) {
 	atoms := []Atom{NewAtom("b", C("x")), NewAtom("a", C("y")), NewAtom("a", C("x"))}
-	SortAtoms(atoms)
+	sortAtoms(atoms)
 	if atoms[0].String() != "a(x)" || atoms[1].String() != "a(y)" || atoms[2].String() != "b(x)" {
 		t.Fatalf("sorted = %v", atoms)
 	}
+}
+
+// unify extends s so that a and b become equal, binding variables on
+// either side. It reports success; on failure s may be partially
+// extended.
+func unify(a, b Atom, s Subst) bool {
+	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
+		return false
+	}
+	for i := range a.Args {
+		x := s.Lookup(a.Args[i])
+		y := s.Lookup(b.Args[i])
+		switch {
+		case x.Equal(y):
+		case x.IsVar:
+			s[x.Name] = y
+		case y.IsVar:
+			s[y.Name] = x
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// renameApart returns a copy of the atom with every variable renamed by
+// appending the given suffix; used to keep rule variables disjoint.
+func renameApart(a Atom, suffix string) Atom {
+	out := Atom{Pred: a.Pred, Args: make([]Term, len(a.Args))}
+	for i, t := range a.Args {
+		if t.IsVar {
+			out.Args[i] = V(t.Name + suffix)
+		} else {
+			out.Args[i] = t
+		}
+	}
+	return out
+}
+
+// sortAtoms sorts atoms by their string rendering, for deterministic
+// output.
+func sortAtoms(atoms []Atom) {
+	sort.Slice(atoms, func(i, j int) bool { return atoms[i].String() < atoms[j].String() })
+}
+
+// constsIn appends all constant names occurring in the atom to dst,
+// without duplicates relative to dst.
+func constsIn(a Atom, dst []string) []string {
+	for _, t := range a.Args {
+		if !t.IsVar && !containsStr(dst, t.Name) {
+			dst = append(dst, t.Name)
+		}
+	}
+	return dst
 }
